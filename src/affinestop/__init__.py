@@ -10,8 +10,8 @@ into a lower threshold interval:
 
 * :mod:`affinestop.model` -- process parameterisations, Laplace exponent,
   admissibility screens, exact path simulation;
-* :mod:`affinestop.lattice` -- finite-chain discretisation and Snell value
-  iteration with stopping-region extraction;
+* :mod:`affinestop.lattice` -- finite-chain discretisation and exact Snell
+  solve by policy iteration, with stopping-region extraction;
 * :mod:`affinestop.oracle` -- exhaustive enumeration of every stopping rule
   on small trees, exact ground truth at desk scale;
 * :mod:`affinestop.threshold` -- valuation and optimisation of hitting-time

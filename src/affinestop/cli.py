@@ -18,7 +18,8 @@ round-trip decimals, byte-identical for identical config and seed:
 * policy.csv         -- ``b_star,value_at_v,stderr,n_paths,bias_bound``
                         (threshold solvers: closed form and Monte Carlo)
 * thresholds.csv     -- ``level,threshold`` (tree oracle solver)
-* report.txt         -- one line per property check plus a final verdict
+* report.txt         -- one line per property check plus a final verdict;
+                        INFO lines report estimates and never fail a run
 """
 
 from __future__ import annotations
@@ -325,6 +326,12 @@ def _run_closed(cfg: RunConfig, out: Path, report: _Report) -> int:
     return 0
 
 
+# Broadie-Glasserman-Kou constant -zeta(1/2)/sqrt(2*pi): exercise allowed
+# only every dt moves a diffusion's threshold up by about this many
+# sigma*sqrt(dt) in log space.
+_EXERCISE_SHIFT = 0.5826
+
+
 def _run_lattice(cfg: RunConfig, out: Path, report: _Report) -> int:
     tol = 1e-9
     ch = build_chain(cfg.model, cfg.grid_v_min, cfg.grid_v_max,
@@ -344,6 +351,14 @@ def _run_lattice(cfg: RunConfig, out: Path, report: _Report) -> int:
     except (StructureError, ValueError) as exc:
         b_star = math.nan
         report.add("threshold_extraction", "FAIL", str(exc))
+    if cfg.model.lambda_j > 0.0:
+        estimate = "n/a (jump model)"
+    else:
+        shift = _EXERCISE_SHIFT * cfg.model.sigma * math.sqrt(cfg.grid_dt)
+        estimate = f"b = {b_star * math.exp(-shift):g}"
+    report.add("continuous_exercise_estimate", "INFO",
+               f"{estimate}; diffusion-only "
+               f"b_hat*exp(-{_EXERCISE_SHIFT}*sigma*sqrt(dt))")
 
     suite_tol = 10.0 * tol
     svf = SampledValueFunction(ch.states, res.values, cfg.payoff, suite_tol)

@@ -1,11 +1,13 @@
-"""Finite-chain discretisation of V and the Snell value iteration.
+"""Finite-chain discretisation of V and its exact Snell solve.
 
 The state space is a log-spaced grid; because X has stationary independent
 increments, every kernel row is the same one-step increment distribution
 shifted to the row's grid cell, so the whole kernel comes from a single
 increment CDF evaluated at cell edges.  Mass escaping the grid piles onto
 the boundary states (conservative at the lower boundary, where the payoff
-is largest; slightly inflating at the top).
+is largest; slightly inflating at the top).  The optimal stopping problem on
+the chain is solved exactly by Howard's policy iteration, whose iteration
+count does not grow as dt shrinks.
 """
 
 from __future__ import annotations
@@ -27,14 +29,14 @@ _POISSON_TAIL = 1e-12
 
 
 class ConvergenceError(RuntimeError):
-    """Value iteration failed to reach tolerance; carries the residual."""
+    """Policy iteration failed to converge or to meet tol; carries the residual."""
 
     def __init__(self, residual: float, iterations: int):
         self.residual = residual
         self.iterations = iterations
         super().__init__(
-            f"value iteration did not converge: residual {residual:.3e} "
-            f"after {iterations} sweeps"
+            f"policy iteration did not converge: residual {residual:.3e} "
+            f"after {iterations} iterations"
         )
 
 
@@ -75,11 +77,11 @@ class SnellResult:
     """Fixed point of the stopping Bellman operator on a chain.
 
     values          -- s_i aligned with chain states
-    stop_set        -- indices where the payoff is attained (contact set)
+    stop_set        -- stop rows of the optimal policy (contact set)
     threshold_index -- largest stop index when stop_set is a lower
                        interval {0..k}, else None
-    iterations      -- sweeps performed
-    residual        -- final sup-norm change
+    iterations      -- policy iterations performed
+    residual        -- Bellman residual max|max(f, discount*kernel@s) - s|
     """
 
     values: np.ndarray
@@ -234,53 +236,50 @@ def value_iteration(
     tol: float = 1e-9,
     max_iter: int = 500_000,
 ) -> SnellResult:
-    """Iterate s <- max(f, discount * kernel @ s) from s0 = max(f, 0).
+    """Solve s = max(f, discount * kernel @ s) exactly by policy iteration.
 
-    Stops when the sup-norm change drops below ``tol``; raises
-    ConvergenceError (with the residual) if ``max_iter`` sweeps do not get
-    there.  Convergence is geometric with ratio exp(-r*dt).  Seeding at the
-    clipped payoff keeps every iterate in [0, c] and makes each sweep
-    monotone non-decreasing, which is asserted.
-
-    The contact set uses tolerance max(10*tol, 1e-9) so the fixed-point
-    residual cannot mask true contact.
+    Howard's iteration over stop/continue policies, seeded at "stop where
+    f > 0": evaluate the policy with one dense linear solve on its
+    continuation rows (s = f on its stop rows), then let each row switch
+    action only where that strictly improves on the policy's value, so ties
+    cannot cycle.  Stops when the improved policy repeats one already
+    evaluated: in exact arithmetic only the current one can recur, and it
+    is optimal; a rounding-level near-tie could otherwise cycle.  The stop
+    rows are the contact set and the values solve the Bellman equation up
+    to rounding.  Raises ConvergenceError (with the residual) if
+    ``max_iter`` policy iterations do not reach a repeat, or if the Bellman
+    residual of the returned values exceeds ``tol``.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
     f = payoff(p, ch.states, clipped=clipped)
     f = np.atleast_1d(np.asarray(f, dtype=float))
-    f_plus = np.maximum(f, 0.0)
+    kernel, beta = ch.kernel, ch.discount
 
-    kernel = ch.kernel
-    n = kernel.shape[0]
-    density = np.count_nonzero(kernel) / max(n * n, 1)
-    if n > 128 and density < 0.25:
-        from scipy.sparse import csr_matrix
-
-        kernel = csr_matrix(kernel)
-
-    beta = ch.discount
-    s = f_plus.copy()
+    stop = f > 0.0
+    seen: set[bytes] = set()
     residual = math.inf
-    iterations = 0
     for iterations in range(1, max_iter + 1):
-        s_new = np.maximum(f, beta * (kernel @ s))
-        d = s_new - s
-        if d.min() < -1e-12:
-            raise RuntimeError(
-                "value-iteration sweep decreased the iterate; the Bellman "
-                "operator should be monotone from the clipped-payoff seed"
-            )
-        residual = max(float(d.max()), 0.0)
-        s = s_new
-        if residual < tol:
+        s = np.where(stop, f, 0.0)
+        cont = np.flatnonzero(~stop)
+        if cont.size:
+            # (I - beta K[C,C]) s_C = beta (K s_stop)[C], without copying K[C,S].
+            a = kernel[np.ix_(cont, cont)] * -beta
+            a[np.diag_indices_from(a)] += 1.0
+            s[cont] = np.linalg.solve(a, beta * (kernel @ s)[cont])
+        q = beta * (kernel @ s)
+        residual = float(np.max(np.abs(np.maximum(f, q) - s)))
+        seen.add(stop.tobytes())
+        new_stop = np.where(stop, f >= q, f > q)
+        if new_stop.tobytes() in seen:
             break
+        stop = new_stop
     else:
         raise ConvergenceError(residual=residual, iterations=max_iter)
+    if residual > tol:
+        raise ConvergenceError(residual=residual, iterations=iterations)
 
-    atol = max(10.0 * tol, 1e-9)
-    mask = s <= f + atol
-    stop_set = frozenset(int(i) for i in np.flatnonzero(mask))
+    stop_set = frozenset(int(i) for i in np.flatnonzero(stop))
     threshold_index: int | None = None
     if stop_set and max(stop_set) == len(stop_set) - 1:
         threshold_index = max(stop_set)

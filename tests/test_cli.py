@@ -166,6 +166,27 @@ class TestRunLattice:
         assert 0.4 < float(summary[0]) < 0.65
         assert abs(float(summary[1]) - 0.25) < 0.02
 
+    def test_continuous_exercise_estimate(self, tmp_path):
+        # Flagship grid (the config defaults: 2000 states on [1e-3, 20],
+        # dt = 1e-3): the chain's threshold sits ~4.6 cells above b* = 0.5,
+        # the shifted estimate ~0.65 cells below it.
+        cfg = parse_config(GBM_CONFIG.replace("closed", "lattice"))
+        out = tmp_path / "o"
+        assert run(cfg, out_dir=str(out)) == 0
+        lines = (out / "report.txt").read_text().splitlines()
+        assert lines[-1] == "result=PASS"
+        (line,) = [x for x in lines if x.startswith("check=continuous_exercise_estimate ")]
+        assert line.startswith("check=continuous_exercise_estimate status=INFO b = ")
+        estimate = float(line.split("b = ")[1].split(";")[0])
+        h = math.log(20.0 / 1e-3) / 1999
+        assert abs(math.log(estimate / 0.5)) <= 2.0 * h
+
+        jump = parse_config(LATTICE_CONFIG + "model.lambda_j = 0.5\n")
+        assert run(jump, out_dir=str(tmp_path / "j")) == 0
+        report = (tmp_path / "j" / "report.txt").read_text()
+        assert ("check=continuous_exercise_estimate status=INFO n/a (jump model)"
+                in report)
+
     def test_v0_outside_grid_is_usage_error(self, tmp_path):
         cfg = parse_config(LATTICE_CONFIG + "v0 = 100.0\n")
         assert run(cfg, out_dir=str(tmp_path / "o")) == 3

@@ -14,9 +14,17 @@ from affinestop.lattice import (
     value_iteration,
     write_snell_csv,
 )
-from affinestop.model import ModelSpec, PayoffSpec, payoff
+from affinestop.model import (
+    ModelSpec,
+    PayoffSpec,
+    check_hypotheses,
+    laplace_exponent,
+    payoff,
+)
 
 GBM = ModelSpec(mu=0.0, sigma=math.sqrt(2.0), r=1.0)
+KOU = ModelSpec(mu=0.0, sigma=1.0, lambda_j=0.5, p_up=0.4, eta_up=8.0,
+                eta_down=4.0, r=1.0)
 UNIT_PAYOFF = PayoffSpec(alpha=1.0, c=1.0)
 
 # Closed-form oracle for the flagship diffusion: lambda_minus = -1 from the
@@ -184,6 +192,49 @@ class TestValueIteration:
             value_iteration(gbm_chain, UNIT_PAYOFF, tol=1e-9, max_iter=3)
         assert exc.value.residual > 1e-9
         assert exc.value.iterations == 3
+
+
+def best_over_all_policies(ch, f):
+    """Pointwise max of the values of all 2^n stationary stop/continue
+    policies, each solved as s = where(stop, f, discount * kernel @ s)."""
+    n = len(f)
+    stop = (np.arange(2**n)[:, None] >> np.arange(n)) & 1 == 1
+    a = np.eye(n) - ch.discount * (~stop)[:, :, None] * ch.kernel
+    s = np.linalg.solve(a, np.where(stop, f, 0.0)[..., None])[..., 0]
+    return s.max(axis=0)
+
+
+class TestPolicyIterationExactness:
+    def test_matches_brute_force_over_all_policies(self):
+        rng = np.random.default_rng(1960)
+        for k in range(20):
+            jumps = {}
+            if k % 2:
+                jumps = dict(lambda_j=rng.uniform(0.3, 1.5),
+                             p_up=rng.uniform(0.2, 0.8),
+                             eta_up=rng.uniform(4.0, 12.0),
+                             eta_down=rng.uniform(2.0, 10.0))
+            mu, sigma = rng.uniform(-0.5, 0.3), rng.uniform(0.3, 1.0)
+            psi1 = laplace_exponent(ModelSpec(mu=mu, sigma=sigma, r=1.0, **jumps), 1.0)
+            m = ModelSpec(mu=mu, sigma=sigma,
+                          r=max(1e-2, psi1) + rng.uniform(0.1, 0.6), **jumps)
+            assert check_hypotheses(m).h3_ok
+            p = PayoffSpec(alpha=rng.uniform(0.5, 2.0), c=rng.uniform(0.5, 2.0))
+            ch = build_chain(m, 0.2 * p.root, 3.0 * p.root, 10,
+                             rng.uniform(0.02, 0.2))
+            res = value_iteration(ch, p, tol=1e-12)
+            f = payoff(p, ch.states)
+            best = best_over_all_policies(ch, f)
+            assert np.max(np.abs(res.values - best)) <= 1e-12
+            assert res.stop_set == set(np.flatnonzero(best <= f + 1e-12).tolist())
+
+    @pytest.mark.parametrize("model, threshold_index", [(GBM, 1259), (KOU, 1286)])
+    def test_flagship_iterations_residual_threshold(self, model, threshold_index):
+        ch = build_chain(model, 1e-3, 20.0, 2000, 1e-3)
+        res = value_iteration(ch, UNIT_PAYOFF, tol=1e-9)
+        assert res.iterations <= 50
+        assert res.residual <= 1e-14
+        assert res.threshold_index == threshold_index
 
 
 class TestExtractThreshold:
