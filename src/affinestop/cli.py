@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -57,6 +58,7 @@ from affinestop.oracle import (
     ENUMERATION_GUARD,
 )
 from affinestop.threshold import (
+    McEstimate,
     hitting_value_mc,
     hitting_value_mc_curve,
     optimal_threshold_closed,
@@ -247,11 +249,18 @@ def _write_value_function(path: Path, v, s, f, is_stop) -> None:
 
 
 class _Report:
-    """Accumulates check lines; knows whether anything failed."""
+    """Accumulates check lines; knows whether anything failed.  Under
+    ``verbose`` it also streams progress notes to stderr; notes never reach
+    an output file."""
 
-    def __init__(self) -> None:
+    def __init__(self, verbose: bool = False) -> None:
         self.lines: list[str] = []
         self.failed = False
+        self.verbose = verbose
+
+    def note(self, message: str) -> None:
+        if self.verbose:
+            print(message, file=sys.stderr)
 
     def add(self, name: str, status: str, detail: str) -> None:
         if status == "FAIL":
@@ -373,6 +382,14 @@ def _run_lattice(cfg: RunConfig, out: Path, report: _Report) -> int:
     return 0
 
 
+def _note_sweep(report: _Report, levels: int, seconds: float,
+                deepest: McEstimate) -> None:
+    report.note(
+        f"mc sweep: levels={levels} paths={deepest.n_paths} "
+        f"wall_s={seconds:.3f} deepest_truncated_frac={deepest.truncated_frac!r}"
+    )
+
+
 def _run_mc(cfg: RunConfig, out: Path, report: _Report) -> int:
     root = cfg.payoff.root
     b_lo = max(cfg.grid_v_min, 0.02 * root)
@@ -385,13 +402,26 @@ def _run_mc(cfg: RunConfig, out: Path, report: _Report) -> int:
     mc_args = dict(n_paths=cfg.mc_n_paths, t_max=cfg.mc_t_max,
                    dt=cfg.mc_dt, seed=cfg.mc_seed)
     ladder = np.linspace(b_lo, b_hi, _LADDER_POINTS)
+    t0 = time.perf_counter()
     curve = hitting_value_mc_curve(cfg.model, cfg.payoff, cfg.v0, ladder, **mc_args)
+    _note_sweep(report, len(ladder), time.perf_counter() - t0, curve[0])
     means = np.array([e.mean for e in curve])
     b_star = optimize_threshold(
         lambda b: float(np.interp(b, ladder, means)),
         b_lo, b_hi, tol=1e-3 * (b_hi - b_lo),
     )
-    est = hitting_value_mc(cfg.model, cfg.payoff, cfg.v0, b_star, **mc_args)
+
+    # Policy-value table plus the estimate at v0, all from one sweep: tau_b*
+    # from each start is one passage level of the same paths (common
+    # randomness, same seed).  Starts at or below b* are the exact payoff.
+    v_grid = np.geomspace(cfg.grid_v_min, cfg.grid_v_max, _MC_TABLE_POINTS)
+    starts, where = np.unique(np.append(v_grid, cfg.v0), return_inverse=True)
+    t0 = time.perf_counter()
+    ests = hitting_value_mc(cfg.model, cfg.payoff, starts, b_star, **mc_args)
+    _note_sweep(report, int(np.sum(starts > b_star)), time.perf_counter() - t0,
+                ests[-1])
+    est = ests[where[-1]]
+    table = [ests[i] for i in where[:-1]]
     _write_csv(
         out / "policy.csv",
         "b_star,value_at_v,stderr,n_paths,bias_bound",
@@ -400,19 +430,8 @@ def _run_mc(cfg: RunConfig, out: Path, report: _Report) -> int:
             str(est.n_paths), _fmt(est.bias_bound),
         )],
     )
-
-    # Policy-value table: exact payoff at/below the threshold, Monte Carlo
-    # estimates (same seed, common randomness) above it.
-    v_grid = np.geomspace(cfg.grid_v_min, cfg.grid_v_max, _MC_TABLE_POINTS)
-    s_vals = np.empty(len(v_grid))
-    max_err = 0.0
-    for i, vv in enumerate(v_grid):
-        if vv <= b_star:
-            s_vals[i] = payoff(cfg.payoff, float(vv))
-        else:
-            e = hitting_value_mc(cfg.model, cfg.payoff, float(vv), b_star, **mc_args)
-            s_vals[i] = e.mean
-            max_err = max(max_err, e.stderr)
+    s_vals = np.array([e.mean for e in table])
+    max_err = max(e.stderr for e in table)
     f_grid = np.atleast_1d(payoff(cfg.payoff, v_grid))
     _write_value_function(out / "value_function.csv", v_grid, s_vals, f_grid,
                           v_grid <= b_star)
@@ -524,7 +543,7 @@ def run(cfg: RunConfig, force: bool = False, out_dir: str | None = None,
 
     out = Path(out_dir if out_dir is not None else cfg.output)
     out.mkdir(parents=True, exist_ok=True)
-    report = _Report()
+    report = _Report(verbose)
     report.add(
         "hypothesis_screen",
         "PASS" if rep.h3_ok else "SKIP",

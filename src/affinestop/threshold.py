@@ -14,9 +14,14 @@ Monte Carlo determinism: paths are processed in fixed-size blocks, each
 block drawing from its own substream keyed by (seed, block index), and all
 aggregation happens in a fixed order, so results are bit-identical across
 runs and independent of how blocks would be scheduled across threads.
-Common random numbers across candidate thresholds are provided by
-``hitting_value_mc_curve``, which values a whole ladder of thresholds from
-one set of simulated paths.
+
+One sweep values a whole ladder of passage levels from one set of simulated
+paths (common random numbers).  Because V = v*exp(X) is spatially
+homogeneous, tau_b started from v is the first passage of X (started at 0)
+below log(b/v), so a ladder may vary the threshold, the start, or both:
+``hitting_value_mc_curve`` values many thresholds from one start, and
+``hitting_value_mc`` with a sequence of starts values one threshold from
+many starts.
 """
 
 from __future__ import annotations
@@ -175,7 +180,7 @@ def optimize_threshold(
 def _block_partial(
     m: ModelSpec,
     p: PayoffSpec,
-    v: float,
+    v: float | np.ndarray,
     b_desc: np.ndarray,
     lev: np.ndarray,
     nb: int,
@@ -192,6 +197,7 @@ def _block_partial(
     """
     n_levels = len(b_desc)
     asc = -lev  # ascending
+    v_lev = np.broadcast_to(v, b_desc.shape)
 
     n_full = int(math.floor(t_max / dt + 1e-9))
     rem = t_max - n_full * dt
@@ -265,7 +271,7 @@ def _block_partial(
                 jumped = counts[rows, k_star] > 0
                 val = np.where(
                     (endpoint <= lev_flat) & jumped,
-                    v * np.exp(endpoint),
+                    v_lev[j_flat] * np.exp(endpoint),
                     b_desc[j_flat],
                 )
             else:
@@ -290,7 +296,7 @@ def _block_partial(
 def _sweep_first_passage(
     m: ModelSpec,
     p: PayoffSpec,
-    v: float,
+    v: float | np.ndarray,
     b_desc: np.ndarray,
     n_paths: int,
     t_max: float,
@@ -300,15 +306,19 @@ def _sweep_first_passage(
     """Simulate first passage below each level of a descending ladder in one
     pass and accumulate (sum, sum of squares, crossing count) per level.
 
-    Every path is simulated until it crosses the lowest level or t_max, so
-    draw consumption does not depend on which level is being valued: the
-    ladder shares one set of paths (common random numbers).  A path's
-    contribution to level j is exp(-r*tau_j) * f(V_tau_j), where V at the
-    crossing is the post-jump value when a jump carried the step endpoint
-    below the level (overshoot kept) and exactly b_j otherwise; diffusion
-    crossings inside a step are detected by sampling the Brownian-bridge
-    minimum between step endpoints, and the crossing time is booked at the
-    step end.
+    Level j is V started from v_j falling to b_j, where ``v`` is one start
+    for every level or a per-level array.  By spatial homogeneity that is X,
+    started at 0, falling to lev_j = log(b_j / v_j); the levels must be
+    strictly descending and below 0.  Every path is simulated until it
+    crosses the lowest level or t_max, so draw consumption depends only on
+    the lowest level: the ladder shares one set of paths (common random
+    numbers), and the lowest level's sums equal those of a one-level sweep
+    at that level bit for bit.  A path's contribution to level j is
+    exp(-r*tau_j) * f(V_tau_j), where V at the crossing is the post-jump
+    value v_j * exp(X) when a jump carried the step endpoint below the level
+    (overshoot kept) and exactly b_j otherwise; diffusion crossings inside a
+    step are detected by sampling the Brownian-bridge minimum between step
+    endpoints, and the crossing time is booked at the step end.
 
     Per-block partials are reduced in block-index order, so the result does
     not depend on the order blocks are computed in.
@@ -360,44 +370,76 @@ def _estimates_from_sums(
     return out
 
 
-def _validate_mc_args(v: float, n_paths: int, t_max: float, dt: float) -> None:
-    if not v > 0.0:
-        raise ValueError(f"v must be > 0, got {v}")
+def _increasing(x, name: str) -> np.ndarray:
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim != 1 or len(arr) < 1:
+        raise ValueError(f"{name} must be a non-empty 1-d sequence")
+    if not np.all(np.diff(arr) > 0.0):
+        raise ValueError(f"{name} must be strictly increasing")
+    return arr
+
+
+def _ladder_estimates(
+    m: ModelSpec,
+    p: PayoffSpec,
+    v: np.ndarray,
+    b: np.ndarray,
+    n_paths: int,
+    t_max: float,
+    dt: float,
+    seed: int,
+) -> list[McEstimate]:
+    """Value tau_{b_j} from v_j for every rung of a ladder in one sweep.
+
+    The rungs must be ordered so that log(b_j / v_j) strictly descends.
+    Rungs with b_j >= v_j are the degenerate immediate stop (mean f(v_j),
+    zero error); they lead the ladder, and the rest share one sweep.
+    """
+    if not (np.all(v > 0.0) and np.all(b > 0.0)):
+        raise ValueError("starts v and thresholds b must be > 0")
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     if not (0.0 < dt <= t_max):
         raise ValueError(f"need 0 < dt <= t_max, got dt={dt}, t_max={t_max}")
+    live = b < v
+    out = [
+        McEstimate(mean=payoff(p, float(vj)), stderr=0.0, n_paths=n_paths,
+                   truncated_frac=0.0, bias_bound=0.0)
+        for vj in v[~live]
+    ]
+    if np.any(live):
+        sums, sumsq, ncross = _sweep_first_passage(
+            m, p, v[live], b[live], n_paths, t_max, dt, seed
+        )
+        out += _estimates_from_sums(p, m, n_paths, t_max, sums, sumsq, ncross)
+    return out
 
 
 def hitting_value_mc(
     m: ModelSpec,
     p: PayoffSpec,
-    v: float,
+    v: float | Sequence[float],
     b: float,
     n_paths: int,
     t_max: float,
     dt: float,
     seed: int,
-) -> McEstimate:
+) -> McEstimate | list[McEstimate]:
     """Monte Carlo value of tau_b from v; works for jump models.
 
     b >= v is the degenerate immediate stop: mean f(v), zero error.  Paths
     not crossing by t_max contribute 0 and are counted in truncated_frac;
     the induced bias is bounded by truncated_frac * exp(-r*t_max) * c.
+
+    ``v`` may also be a strictly increasing 1-d sequence of starts; the
+    result is then a list in the same order, valued from one sweep (common
+    random numbers).  The largest start is the lowest passage level, so its
+    estimate is bitwise the scalar call at that start.
     """
-    _validate_mc_args(v, n_paths, t_max, dt)
-    if not b > 0.0:
-        raise ValueError(f"b must be > 0, got {b}")
-    if b >= v:
-        return McEstimate(
-            mean=payoff(p, v), stderr=0.0, n_paths=n_paths,
-            truncated_frac=0.0, bias_bound=0.0,
-        )
-    b_desc = np.array([b])
-    sums, sumsq, ncross = _sweep_first_passage(
-        m, p, v, b_desc, n_paths, t_max, dt, seed
-    )
-    return _estimates_from_sums(p, m, n_paths, t_max, sums, sumsq, ncross)[0]
+    starts = _increasing(np.atleast_1d(v), "v")
+    ests = _ladder_estimates(m, p, starts, np.full(len(starts), float(b)),
+                             n_paths, t_max, dt, seed)
+    return ests[0] if np.ndim(v) == 0 else ests
 
 
 def hitting_value_mc_curve(
@@ -417,29 +459,7 @@ def hitting_value_mc_curve(
     exactly the same randomness: the resulting curve is smooth in b and
     suitable for golden-section search (common random numbers).
     """
-    bs = np.asarray(bs, dtype=float)
-    if bs.ndim != 1 or len(bs) < 1:
-        raise ValueError("bs must be a non-empty 1-d sequence")
-    if not np.all(bs > 0.0):
-        raise ValueError("thresholds must be > 0")
-    if len(bs) > 1 and not np.all(np.diff(bs) > 0.0):
-        raise ValueError("bs must be strictly increasing")
-    _validate_mc_args(v, n_paths, t_max, dt)
-
-    live = bs < v
-    results: dict[int, McEstimate] = {}
-    for i in np.flatnonzero(~live):
-        results[int(i)] = McEstimate(
-            mean=payoff(p, v), stderr=0.0, n_paths=n_paths,
-            truncated_frac=0.0, bias_bound=0.0,
-        )
-    idx = np.flatnonzero(live)
-    if len(idx):
-        b_desc = bs[idx][::-1].copy()
-        sums, sumsq, ncross = _sweep_first_passage(
-            m, p, v, b_desc, n_paths, t_max, dt, seed
-        )
-        ests = _estimates_from_sums(p, m, n_paths, t_max, sums, sumsq, ncross)
-        for pos, est in zip(idx[::-1], ests):
-            results[int(pos)] = est
-    return [results[i] for i in range(len(bs))]
+    bs = _increasing(bs, "bs")
+    ests = _ladder_estimates(m, p, np.full(len(bs), float(v)), bs[::-1],
+                             n_paths, t_max, dt, seed)
+    return ests[::-1]

@@ -217,6 +217,50 @@ class TestRunMc:
                 != (out2 / "summary.csv").read_bytes())
 
 
+    def test_two_sweeps_and_deepest_row_is_scalar(self, tmp_path, monkeypatch):
+        # one CRN ladder sweep for the search, one sweep for the table and
+        # the estimate at v0; the largest start is the lowest passage level,
+        # so its row is bitwise the scalar estimate at that start
+        import affinestop.threshold as threshold
+
+        calls = []
+        sweep = threshold._sweep_first_passage
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[3]))
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(threshold, "_sweep_first_passage", counted)
+        cfg = parse_config(MC_CONFIG)
+        out = tmp_path / "o"
+        assert run(cfg, out_dir=str(out)) == 0
+        assert len(calls) == 2
+        assert calls[0] == 101
+        b_star = float((out / "summary.csv").read_text().splitlines()[1].split(",")[0])
+        v, s = (out / "value_function.csv").read_text().splitlines()[-1].split(",")[:2]
+        assert float(v) > b_star
+        est = threshold.hitting_value_mc(
+            cfg.model, cfg.payoff, float(v), b_star, n_paths=cfg.mc_n_paths,
+            t_max=cfg.mc_t_max, dt=cfg.mc_dt, seed=cfg.mc_seed)
+        assert s == repr(est.mean)
+
+    def test_verbose_notes_each_sweep_outputs_unchanged(self, tmp_path, capsys):
+        cfg = parse_config(MC_CONFIG)
+        quiet, loud = tmp_path / "q", tmp_path / "l"
+        assert run(cfg, out_dir=str(quiet)) == 0
+        capsys.readouterr()
+        assert run(cfg, out_dir=str(loud), verbose=True) == 0
+        notes = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("mc sweep:")]
+        assert len(notes) == 2
+        assert all(" levels=" in n and " paths=2000 " in n and " wall_s=" in n
+                   and " deepest_truncated_frac=" in n for n in notes)
+        assert sorted(p.name for p in quiet.iterdir()) == sorted(
+            p.name for p in loud.iterdir())
+        for path in quiet.iterdir():
+            assert path.read_bytes() == (loud / path.name).read_bytes(), path.name
+
+
 class TestRunOracle:
     def test_pipeline(self, tmp_path):
         cfg = parse_config(ORACLE_CONFIG)

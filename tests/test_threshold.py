@@ -231,3 +231,46 @@ class TestCurveAndCrnSearch:
             hitting_value_mc_curve(GBM, UNIT, 1.0, [0.5, 0.4], 10, 1.0, 0.1, 0)
         with pytest.raises(ValueError):
             hitting_value_mc_curve(GBM, UNIT, 1.0, [], 10, 1.0, 0.1, 0)
+
+
+class TestStartsLadder:
+    """One sweep values a threshold from many starts: V = v*exp(X), so
+    tau_b from v_j is the passage of X below log(b/v_j)."""
+
+    KW = dict(n_paths=3000, t_max=4.0, dt=0.01, seed=21)
+
+    @pytest.mark.parametrize("model", [KOU, GBM], ids=["Kou", "GBM"])
+    def test_deepest_start_bitwise_equals_scalar(self, model):
+        # paths are dropped only once they cross the lowest level, which is
+        # the largest start's, so that start sees the scalar call's draws
+        starts = [0.7, 1.0, 1.5, 2.5]
+        ests = hitting_value_mc(model, UNIT, starts, 0.5, **self.KW)
+        assert len(ests) == len(starts)
+        assert all(isinstance(e, McEstimate) for e in ests)
+        assert ests[-1] == hitting_value_mc(model, UNIT, 2.5, 0.5, **self.KW)
+
+    def test_one_start_equals_scalar(self):
+        ests = hitting_value_mc(KOU, UNIT, [1.3], 0.6, **self.KW)
+        assert ests == [hitting_value_mc(KOU, UNIT, 1.3, 0.6, **self.KW)]
+
+    def test_gbm_against_closed_form(self):
+        starts = np.geomspace(0.6, 3.0, 6)
+        ests = hitting_value_mc(GBM, UNIT, starts, 0.5, n_paths=30_000,
+                                t_max=20.0, dt=2e-3, seed=99)
+        for v, est in zip(starts, ests):
+            exact = hitting_value_closed(GBM, UNIT, float(v), 0.5)
+            assert est.stderr > 0.0
+            assert abs(est.mean - exact) <= 4.0 * est.stderr + est.bias_bound
+
+    def test_starts_at_or_below_threshold_are_payoff(self):
+        ests = hitting_value_mc(KOU, UNIT, [0.3, 0.5, 1.0], 0.5, **self.KW)
+        for v, est in zip((0.3, 0.5), ests[:2]):
+            assert est == McEstimate(mean=payoff(UNIT, v), stderr=0.0,
+                                     n_paths=3000, truncated_frac=0.0,
+                                     bias_bound=0.0)
+        assert ests[2].stderr > 0.0
+
+    def test_starts_validation(self):
+        for starts in ([1.0, 0.8], [1.0, 1.0], [], [[1.0, 2.0]], [-1.0, 1.0]):
+            with pytest.raises(ValueError):
+                hitting_value_mc(GBM, UNIT, starts, 0.5, 10, 1.0, 0.1, 0)
