@@ -18,7 +18,8 @@ into a lower threshold interval:
   policies, in closed form and by Monte Carlo;
 * :mod:`affinestop.verify` -- property suite run against any sampled value
   function regardless of solver;
-* :mod:`affinestop.cli` -- batch front end over a flat key-value config.
+* :mod:`affinestop.cli` -- batch front end over a ``section.key = value``
+  config whose sections are frozen spec dataclasses.
 """
 
 from affinestop.lattice import (
@@ -29,7 +30,6 @@ from affinestop.lattice import (
     build_chain,
     extract_threshold,
     value_iteration,
-    write_snell_csv,
 )
 from affinestop.model import (
     HypothesisReport,
@@ -56,7 +56,6 @@ from affinestop.oracle import (
 )
 from affinestop.threshold import (
     McEstimate,
-    ThresholdPolicy,
     hitting_value_closed,
     hitting_value_mc,
     hitting_value_mc_curve,
@@ -84,7 +83,6 @@ __all__ = [
     "SnellResult",
     "StoppingRule",
     "StructureError",
-    "ThresholdPolicy",
     "Tree",
     "UnsupportedModelError",
     "best_rule_exhaustive",
@@ -112,7 +110,6 @@ __all__ = [
     "snell_value",
     "threshold_form_check",
     "value_iteration",
-    "write_snell_csv",
 ]
 
 __version__ = "0.1.0"

@@ -1,9 +1,12 @@
-"""Batch front end: flat key-value config in, CSV tables and a report out.
+"""Batch front end: a sectioned key-value config in, CSV tables and a report out.
 
 Config format: one ``section.key = value`` per line, ``#`` starts a
-comment, decimal numbers with optional exponent.  Unknown and duplicate
-keys are errors; every value is validated against the solver preconditions
-before any computation starts.
+comment, decimal numbers with optional exponent.  A section is a frozen
+spec dataclass (``model``: ModelSpec, ``payoff``: PayoffSpec, ``grid``,
+``mc``, ``oracle``) whose fields, types and defaults are its keys; ``solver``,
+``v0`` and ``output`` sit at top level.  Unknown and duplicate keys,
+non-numbers and non-finite numbers are errors naming the key, and each spec
+validates itself, all before any computation starts.
 
 Exit codes: 0 success, 1 a property check failed, 2 refused because the
 discounted-growth screen psi(1) < r fails (override with --force), 3 usage
@@ -28,8 +31,9 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -75,31 +79,6 @@ from affinestop.verify import (
 
 SOLVERS = ("closed", "lattice", "mc", "oracle")
 
-# key -> (type, default); None default means the key is required
-_SCHEMA = {
-    "model.mu": (float, 0.0),
-    "model.sigma": (float, 0.0),
-    "model.lambda_j": (float, 0.0),
-    "model.p_up": (float, 0.5),
-    "model.eta_up": (float, 10.0),
-    "model.eta_down": (float, 5.0),
-    "model.r": (float, None),
-    "payoff.alpha": (float, None),
-    "payoff.c": (float, None),
-    "solver": (str, None),
-    "v0": (float, 1.0),
-    "grid.v_min": (float, 1e-3),
-    "grid.v_max": (float, 20.0),
-    "grid.n_states": (int, 2000),
-    "grid.dt": (float, 1e-3),
-    "mc.n_paths": (int, 100_000),
-    "mc.t_max": (float, 20.0),
-    "mc.dt": (float, 1e-3),
-    "mc.seed": (int, 0),
-    "oracle.depth": (int, 5),
-    "output": (str, "out"),
-}
-
 _MC_TABLE_POINTS = 17
 _LADDER_POINTS = 101
 
@@ -109,25 +88,115 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
+class GridSpec:
+    """Log grid of the value tables; dt is the lattice and tree time step."""
+
+    v_min: float = 1e-3
+    v_max: float = 20.0
+    n_states: int = 2000
+    dt: float = 1e-3
+
+    def __post_init__(self) -> None:
+        if not (0.0 < self.v_min < self.v_max):
+            raise ValueError(
+                f"need 0 < v_min < v_max, got [{self.v_min}, {self.v_max}]")
+        if self.n_states < 1:
+            raise ValueError(f"n_states must be >= 1, got {self.n_states}")
+        if not self.dt > 0.0:
+            raise ValueError(f"dt must be > 0, got {self.dt}")
+
+
+@dataclass(frozen=True)
+class McSpec:
+    """Monte Carlo paths, horizon, time step and seed."""
+
+    n_paths: int = 100_000
+    t_max: float = 20.0
+    dt: float = 1e-3
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.n_paths < 1:
+            raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
+        if not (0.0 < self.dt <= self.t_max):
+            raise ValueError(
+                f"need 0 < dt <= t_max, got dt={self.dt}, t_max={self.t_max}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
+
+@dataclass(frozen=True)
+class OracleSpec:
+    """Depth of the exhaustive binary tree."""
+
+    depth: int = 5
+
+    def __post_init__(self) -> None:
+        if self.depth < 0:
+            raise ValueError(f"depth must be >= 0, got {self.depth}")
+
+
+@dataclass(frozen=True)
 class RunConfig:
+    """One run: a section per spec dataclass plus three top-level keys."""
+
     model: ModelSpec
     payoff: PayoffSpec
+    grid: GridSpec
+    mc: McSpec
+    oracle: OracleSpec
     solver: str
-    v0: float
-    grid_v_min: float
-    grid_v_max: float
-    grid_n_states: int
-    grid_dt: float
-    mc_n_paths: int
-    mc_t_max: float
-    mc_dt: float
-    mc_seed: int
-    oracle_depth: int
-    output: str
+    v0: float = 1.0
+    output: str = "out"
+
+    def __post_init__(self) -> None:
+        if self.solver not in SOLVERS:
+            raise ConfigError(
+                f"solver: must be one of {', '.join(SOLVERS)}, got '{self.solver}'")
+        if not self.v0 > 0.0:
+            raise ConfigError(f"v0: must be > 0, got {self.v0}")
+
+
+def _fields(cls) -> list[tuple[str, type, object]]:
+    hints = get_type_hints(cls)
+    return [(f.name, hints[f.name], f.default) for f in fields(cls)]
+
+
+def _key_table():
+    """Config key -> (section or None, field, type, default), read off the
+    dataclass fields (a MISSING default marks a required key), and section
+    name -> spec class."""
+    keys, sections = {}, {}
+    for name, typ, default in _fields(RunConfig):
+        if is_dataclass(typ):
+            sections[name] = typ
+            keys.update((f"{name}.{k}", (name, k, t, d)) for k, t, d in _fields(typ))
+        else:
+            keys[name] = (None, name, typ, default)
+    return keys, sections
+
+
+_KEYS, _SECTIONS = _key_table()
+
+
+def _convert(key: str, typ: type, text: str):
+    if typ is str:
+        return text
+    try:
+        number = float(text)
+    except ValueError:
+        raise ConfigError(f"{key}: not a number: '{text}'") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{key}: must be finite, got {text}")
+    if typ is int:
+        if number != int(number):
+            raise ConfigError(f"{key}: must be an integer, got {text}")
+        return int(number)
+    return number
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and fully validate a flat key-value configuration."""
+    """Parse and fully validate a ``section.key = value`` configuration."""
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -136,7 +205,7 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _SCHEMA:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key '{key}'")
@@ -144,89 +213,23 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: empty value for '{key}'")
         raw[key] = value
 
-    values: dict[str, object] = {}
-    for key, (typ, default) in _SCHEMA.items():
+    top: dict[str, object] = {}
+    sections: dict[str, dict[str, object]] = {name: {} for name in _SECTIONS}
+    for key, (section, name, typ, default) in _KEYS.items():
         if key in raw:
-            text_value = raw[key]
-            if typ is str:
-                values[key] = text_value
-            elif typ is int:
-                try:
-                    as_float = float(text_value)
-                except ValueError:
-                    raise ConfigError(f"{key}: not a number: '{text_value}'") from None
-                if as_float != int(as_float):
-                    raise ConfigError(f"{key}: must be an integer, got {text_value}")
-                values[key] = int(as_float)
-            else:
-                try:
-                    values[key] = float(text_value)
-                except ValueError:
-                    raise ConfigError(f"{key}: not a number: '{text_value}'") from None
+            value = _convert(key, typ, raw[key])
+        elif default is MISSING:
+            raise ConfigError(f"{key}: required key missing")
         else:
-            if default is None:
-                raise ConfigError(f"{key}: required key missing")
-            values[key] = default
+            continue
+        (top if section is None else sections[section])[name] = value
 
-    if values["solver"] not in SOLVERS:
-        raise ConfigError(
-            f"solver: must be one of {', '.join(SOLVERS)}, got '{values['solver']}'"
-        )
-    try:
-        model = ModelSpec(
-            mu=values["model.mu"],
-            sigma=values["model.sigma"],
-            lambda_j=values["model.lambda_j"],
-            p_up=values["model.p_up"],
-            eta_up=values["model.eta_up"],
-            eta_down=values["model.eta_down"],
-            r=values["model.r"],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from None
-    try:
-        pay = PayoffSpec(alpha=values["payoff.alpha"], c=values["payoff.c"])
-    except ValueError as exc:
-        raise ConfigError(f"payoff: {exc}") from None
-    if not values["v0"] > 0.0:
-        raise ConfigError(f"v0: must be > 0, got {values['v0']}")
-    if not (0.0 < values["grid.v_min"] < values["grid.v_max"]):
-        raise ConfigError(
-            f"grid: need 0 < v_min < v_max, got "
-            f"[{values['grid.v_min']}, {values['grid.v_max']}]"
-        )
-    if values["grid.n_states"] < 1:
-        raise ConfigError(f"grid.n_states: must be >= 1, got {values['grid.n_states']}")
-    if not values["grid.dt"] > 0.0:
-        raise ConfigError(f"grid.dt: must be > 0, got {values['grid.dt']}")
-    if values["mc.n_paths"] < 1:
-        raise ConfigError(f"mc.n_paths: must be >= 1, got {values['mc.n_paths']}")
-    if not (0.0 < values["mc.dt"] <= values["mc.t_max"]):
-        raise ConfigError(
-            f"mc: need 0 < dt <= t_max, got dt={values['mc.dt']}, "
-            f"t_max={values['mc.t_max']}"
-        )
-    if values["mc.seed"] < 0:
-        raise ConfigError(f"mc.seed: must be >= 0, got {values['mc.seed']}")
-    if values["oracle.depth"] < 0:
-        raise ConfigError(f"oracle.depth: must be >= 0, got {values['oracle.depth']}")
-
-    return RunConfig(
-        model=model,
-        payoff=pay,
-        solver=values["solver"],
-        v0=values["v0"],
-        grid_v_min=values["grid.v_min"],
-        grid_v_max=values["grid.v_max"],
-        grid_n_states=values["grid.n_states"],
-        grid_dt=values["grid.dt"],
-        mc_n_paths=values["mc.n_paths"],
-        mc_t_max=values["mc.t_max"],
-        mc_dt=values["mc.dt"],
-        mc_seed=values["mc.seed"],
-        oracle_depth=values["oracle.depth"],
-        output=values["output"],
-    )
+    for name, cls in _SECTIONS.items():
+        try:
+            top[name] = cls(**sections[name])
+        except ValueError as exc:
+            raise ConfigError(f"{name}: {exc}") from None
+    return RunConfig(**top)
 
 
 def _fmt(x: float) -> str:
@@ -246,6 +249,13 @@ def _write_value_function(path: Path, v, s, f, is_stop) -> None:
         for vi, si, fi, stop in zip(v, s, f, is_stop)
     )
     _write_csv(path, "v,s,f,is_stop", rows)
+
+
+def _write_policy(path: Path, b_star: float, value: float, stderr: float = 0.0,
+                  n_paths: int = 0, bias_bound: float = 0.0) -> None:
+    _write_csv(path, "b_star,value_at_v,stderr,n_paths,bias_bound",
+               [(_fmt(b_star), _fmt(value), _fmt(stderr), str(n_paths),
+                 _fmt(bias_bound))])
 
 
 class _Report:
@@ -282,8 +292,8 @@ def _run_value_suite(
     report: _Report,
     svf: SampledValueFunction,
     svf_clipped: SampledValueFunction | None,
-) -> float | None:
-    """Standard battery on a sampled value function; returns b_hat."""
+) -> None:
+    """Standard battery on a sampled value function."""
     report.add_check(check_convexity(svf))
     report.add_check(check_monotone_bounds(svf))
     if svf.v[0] <= 1e-3 * svf.payoff.root:
@@ -304,7 +314,10 @@ def _run_value_suite(
             "put_equivalence", "SKIP",
             "needs a matched clipped-payoff solve (lattice solver runs both)",
         )
-    return contact.b_hat
+
+
+# (b_star, value_at_v0, residual_or_stderr): the summary.csv row of a solve
+_Summary = tuple[float, float, float]
 
 
 def _interp_log(v0: float, states: np.ndarray, values: np.ndarray) -> float:
@@ -313,26 +326,17 @@ def _interp_log(v0: float, states: np.ndarray, values: np.ndarray) -> float:
     return float(np.interp(math.log(v0), np.log(states), values))
 
 
-def _run_closed(cfg: RunConfig, out: Path, report: _Report) -> int:
+def _run_closed(cfg: RunConfig, out: Path, report: _Report) -> _Summary:
     b_star, value_fn = optimal_threshold_closed(cfg.model, cfg.payoff)
-    v = np.geomspace(cfg.grid_v_min, cfg.grid_v_max, cfg.grid_n_states)
+    v = np.geomspace(cfg.grid.v_min, cfg.grid.v_max, cfg.grid.n_states)
     s = np.atleast_1d(value_fn(v))
     f = np.atleast_1d(payoff(cfg.payoff, v))
     _write_value_function(out / "value_function.csv", v, s, f, v <= b_star)
     value_at_v0 = float(value_fn(cfg.v0))
-    _write_csv(
-        out / "policy.csv",
-        "b_star,value_at_v,stderr,n_paths,bias_bound",
-        [(_fmt(b_star), _fmt(value_at_v0), _fmt(0.0), "0", _fmt(0.0))],
-    )
+    _write_policy(out / "policy.csv", b_star, value_at_v0)
     svf = SampledValueFunction(v=v, s=s, payoff=cfg.payoff, tolerance=1e-8)
     _run_value_suite(report, svf, None)
-    _write_csv(
-        out / "summary.csv",
-        "b_star,value_at_v0,solver,residual_or_stderr",
-        [(_fmt(b_star), _fmt(value_at_v0), "closed", _fmt(0.0))],
-    )
-    return 0
+    return b_star, value_at_v0, 0.0
 
 
 # Broadie-Glasserman-Kou constant -zeta(1/2)/sqrt(2*pi): exercise allowed
@@ -341,16 +345,14 @@ def _run_closed(cfg: RunConfig, out: Path, report: _Report) -> int:
 _EXERCISE_SHIFT = 0.5826
 
 
-def _run_lattice(cfg: RunConfig, out: Path, report: _Report) -> int:
+def _run_lattice(cfg: RunConfig, out: Path, report: _Report) -> _Summary:
     tol = 1e-9
-    ch = build_chain(cfg.model, cfg.grid_v_min, cfg.grid_v_max,
-                     cfg.grid_n_states, cfg.grid_dt)
+    g = cfg.grid
+    ch = build_chain(cfg.model, g.v_min, g.v_max, g.n_states, g.dt)
     res = value_iteration(ch, cfg.payoff, clipped=False, tol=tol)
     res_clip = value_iteration(ch, cfg.payoff, clipped=True, tol=tol)
     f = np.atleast_1d(np.asarray(payoff(cfg.payoff, ch.states), dtype=float))
-    is_stop = np.zeros(len(ch.states), dtype=bool)
-    for i in res.stop_set:
-        is_stop[i] = True
+    is_stop = [i in res.stop_set for i in range(len(ch.states))]
     _write_value_function(out / "value_function.csv", ch.states, res.values, f, is_stop)
 
     try:
@@ -363,7 +365,7 @@ def _run_lattice(cfg: RunConfig, out: Path, report: _Report) -> int:
     if cfg.model.lambda_j > 0.0:
         estimate = "n/a (jump model)"
     else:
-        shift = _EXERCISE_SHIFT * cfg.model.sigma * math.sqrt(cfg.grid_dt)
+        shift = _EXERCISE_SHIFT * cfg.model.sigma * math.sqrt(g.dt)
         estimate = f"b = {b_star * math.exp(-shift):g}"
     report.add("continuous_exercise_estimate", "INFO",
                f"{estimate}; diffusion-only "
@@ -373,13 +375,7 @@ def _run_lattice(cfg: RunConfig, out: Path, report: _Report) -> int:
     svf = SampledValueFunction(ch.states, res.values, cfg.payoff, suite_tol)
     svf_clip = SampledValueFunction(ch.states, res_clip.values, cfg.payoff, suite_tol)
     _run_value_suite(report, svf, svf_clip)
-    value_at_v0 = _interp_log(cfg.v0, ch.states, res.values)
-    _write_csv(
-        out / "summary.csv",
-        "b_star,value_at_v0,solver,residual_or_stderr",
-        [(_fmt(b_star), _fmt(value_at_v0), "lattice", _fmt(res.residual))],
-    )
-    return 0
+    return b_star, _interp_log(cfg.v0, ch.states, res.values), res.residual
 
 
 def _note_sweep(report: _Report, levels: int, seconds: float,
@@ -390,17 +386,16 @@ def _note_sweep(report: _Report, levels: int, seconds: float,
     )
 
 
-def _run_mc(cfg: RunConfig, out: Path, report: _Report) -> int:
+def _run_mc(cfg: RunConfig, out: Path, report: _Report) -> _Summary:
     root = cfg.payoff.root
-    b_lo = max(cfg.grid_v_min, 0.02 * root)
+    b_lo = max(cfg.grid.v_min, 0.02 * root)
     b_hi = 0.98 * min(root, cfg.v0)
     if not b_lo < b_hi:
         raise ConfigError(
             f"mc: empty threshold search range [{b_lo:g}, {b_hi:g}]; "
             "v0 must sit above the searchable thresholds"
         )
-    mc_args = dict(n_paths=cfg.mc_n_paths, t_max=cfg.mc_t_max,
-                   dt=cfg.mc_dt, seed=cfg.mc_seed)
+    mc_args = asdict(cfg.mc)
     ladder = np.linspace(b_lo, b_hi, _LADDER_POINTS)
     t0 = time.perf_counter()
     curve = hitting_value_mc_curve(cfg.model, cfg.payoff, cfg.v0, ladder, **mc_args)
@@ -414,7 +409,7 @@ def _run_mc(cfg: RunConfig, out: Path, report: _Report) -> int:
     # Policy-value table plus the estimate at v0, all from one sweep: tau_b*
     # from each start is one passage level of the same paths (common
     # randomness, same seed).  Starts at or below b* are the exact payoff.
-    v_grid = np.geomspace(cfg.grid_v_min, cfg.grid_v_max, _MC_TABLE_POINTS)
+    v_grid = np.geomspace(cfg.grid.v_min, cfg.grid.v_max, _MC_TABLE_POINTS)
     starts, where = np.unique(np.append(v_grid, cfg.v0), return_inverse=True)
     t0 = time.perf_counter()
     ests = hitting_value_mc(cfg.model, cfg.payoff, starts, b_star, **mc_args)
@@ -422,14 +417,8 @@ def _run_mc(cfg: RunConfig, out: Path, report: _Report) -> int:
                 ests[-1])
     est = ests[where[-1]]
     table = [ests[i] for i in where[:-1]]
-    _write_csv(
-        out / "policy.csv",
-        "b_star,value_at_v,stderr,n_paths,bias_bound",
-        [(
-            _fmt(b_star), _fmt(est.mean), _fmt(est.stderr),
-            str(est.n_paths), _fmt(est.bias_bound),
-        )],
-    )
+    _write_policy(out / "policy.csv", b_star, est.mean, est.stderr,
+                  est.n_paths, est.bias_bound)
     s_vals = np.array([e.mean for e in table])
     max_err = max(e.stderr for e in table)
     f_grid = np.atleast_1d(payoff(cfg.payoff, v_grid))
@@ -441,28 +430,24 @@ def _run_mc(cfg: RunConfig, out: Path, report: _Report) -> int:
     base_tol = max(4.0 * max_err, 1e-8)
     svf = SampledValueFunction(v_grid, s_vals, cfg.payoff, 2.0 * base_tol)
     _run_value_suite(report, svf, None)
-    _write_csv(
-        out / "summary.csv",
-        "b_star,value_at_v0,solver,residual_or_stderr",
-        [(_fmt(b_star), _fmt(est.mean), "mc", _fmt(est.stderr))],
-    )
-    return 0
+    return b_star, est.mean, est.stderr
 
 
-def _run_oracle(cfg: RunConfig, out: Path, report: _Report) -> int:
-    n_rules = count_rules(cfg.oracle_depth, 2)
+def _run_oracle(cfg: RunConfig, out: Path, report: _Report) -> _Summary:
+    depth = cfg.oracle.depth
+    n_rules = count_rules(depth, 2)
     if n_rules > ENUMERATION_GUARD:
         raise GuardError(
-            f"oracle.depth={cfg.oracle_depth} gives {n_rules} rules, over the "
+            f"oracle.depth={depth} gives {n_rules} rules, over the "
             f"{ENUMERATION_GUARD} enumeration guard"
         )
     m = cfg.model
-    dt = cfg.grid_dt
+    dt = cfg.grid.dt
     up = math.exp(m.mu * dt + m.sigma * math.sqrt(dt))
     down = math.exp(m.mu * dt - m.sigma * math.sqrt(dt))
     if up == down:
         raise ConfigError("oracle: binary tree needs sigma > 0 to branch")
-    tree = Tree(depth=cfg.oracle_depth, v0=cfg.v0, multipliers=(up, down),
+    tree = Tree(depth=depth, v0=cfg.v0, multipliers=(up, down),
                 probs=(0.5, 0.5), dt=dt, r=m.r)
 
     best, _rules = best_rule_exhaustive(tree, cfg.payoff)
@@ -497,29 +482,17 @@ def _run_oracle(cfg: RunConfig, out: Path, report: _Report) -> int:
     )
 
     # Node table, level by level (v repeats across levels).
-    rows = [
-        (level, v, s, payoff(cfg.payoff, v))
-        for level, nodes in enumerate(recombined_values(tree, cfg.payoff))
-        for v, s in sorted(nodes.values())
-    ]
-    _write_value_function(
-        out / "value_function.csv",
-        [rv for _, rv, _, _ in rows],
-        [rs for _, _, rs, _ in rows],
-        [rf for _, _, _, rf in rows],
-        [abs(rs - rf) <= 1e-12 for _, _, rs, rf in rows],
-    )
+    v, s = zip(*(vs for nodes in recombined_values(tree, cfg.payoff)
+                 for vs in sorted(nodes.values())))
+    f = [payoff(cfg.payoff, vi) for vi in v]
+    _write_value_function(out / "value_function.csv", v, s, f,
+                          [abs(si - fi) <= 1e-12 for si, fi in zip(s, f)])
 
     decision_thresholds = [
         th for th in tf.level_thresholds[: max(tree.depth, 1)] if th is not None
     ]
     b_star = decision_thresholds[-1] if decision_thresholds else math.nan
-    _write_csv(
-        out / "summary.csv",
-        "b_star,value_at_v0,solver,residual_or_stderr",
-        [(_fmt(b_star), _fmt(backward), "oracle", _fmt(0.0))],
-    )
-    return 0
+    return b_star, backward, 0.0
 
 
 def run(cfg: RunConfig, force: bool = False, out_dir: str | None = None,
@@ -552,17 +525,22 @@ def run(cfg: RunConfig, force: bool = False, out_dir: str | None = None,
     )
 
     try:
-        dispatch = {
+        solve = {
             "closed": _run_closed,
             "lattice": _run_lattice,
             "mc": _run_mc,
             "oracle": _run_oracle,
         }[cfg.solver]
-        dispatch(cfg, out, report)
+        b_star, value_at_v0, residual_or_stderr = solve(cfg, out, report)
     except (UnsupportedModelError, GuardError, ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
+    _write_csv(
+        out / "summary.csv",
+        "b_star,value_at_v0,solver,residual_or_stderr",
+        [(_fmt(b_star), _fmt(value_at_v0), cfg.solver, _fmt(residual_or_stderr))],
+    )
     report.write(out / "report.txt")
     if report.failed:
         print(f"one or more checks failed; see {out / 'report.txt'}",
@@ -576,25 +554,15 @@ def _cmd_verify(args) -> int:
 
     try:
         pay = PayoffSpec(alpha=args.alpha, c=args.c)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    try:
         with open(args.csv, "r", encoding="utf-8", newline="") as fh:
-            reader = _csv.DictReader(fh)
+            reader = _csv.DictReader(fh, restval="")  # short row: not a number
             if reader.fieldnames is None or not {"v", "s"} <= set(reader.fieldnames):
-                print("error: CSV must have 'v' and 's' columns", file=sys.stderr)
-                return 3
-            v, s = [], []
-            for row in reader:
-                v.append(float(row["v"]))
-                s.append(float(row["s"]))
+                raise ValueError("CSV must have 'v' and 's' columns")
+            rows = list(reader)
+        v = np.array([float(row["v"]) for row in rows])
+        s = np.array([float(row["s"]) for row in rows])
+        svf = SampledValueFunction(v, s, pay, args.tol)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    try:
-        svf = SampledValueFunction(np.asarray(v), np.asarray(s), pay, args.tol)
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     report = _Report()
@@ -648,22 +616,18 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
+        if args.seed is not None:  # McSpec validates it like mc.seed
+            cfg = replace(cfg, mc=replace(cfg.mc, seed=args.seed))
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 3
-    except ConfigError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
     if args.command != "run":
         solver = {"solve": "closed", "mc": "mc", "oracle": "oracle"}[args.command]
         cfg = replace(cfg, solver=solver)
-    if args.seed is not None:
-        if args.seed < 0:
-            print("error: --seed must be >= 0", file=sys.stderr)
-            return 3
-        cfg = replace(cfg, mc_seed=args.seed)
-
     return run(cfg, force=args.force, out_dir=args.out, verbose=args.verbose)
 
 

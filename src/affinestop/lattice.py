@@ -310,25 +310,3 @@ def extract_threshold(res: SnellResult, ch: Chain) -> float:
             f"stop set is not a lower interval; gaps at indices {missing}"
         )
     return float(ch.states[idx[-1]])
-
-
-def write_snell_csv(
-    path,
-    res: SnellResult,
-    ch: Chain,
-    p: PayoffSpec,
-    clipped: bool = False,
-) -> None:
-    """Export a SnellResult as CSV with columns v,s,f,is_stop.
-
-    Full-precision shortest round-trip decimals, one header row, newline
-    line endings; byte-stable across runs for identical inputs.
-    """
-    f = np.atleast_1d(np.asarray(payoff(p, ch.states, clipped=clipped), dtype=float))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("v,s,f,is_stop\n")
-        for i, v in enumerate(ch.states):
-            stop = 1 if i in res.stop_set else 0
-            fh.write(
-                f"{float(v)!r},{float(res.values[i])!r},{float(f[i])!r},{stop}\n"
-            )

@@ -112,12 +112,9 @@ class HypothesisReport:
     h3_ok is the operative gate: psi(1) < r, equivalently
     exp(-r*t) * E[exp(X_t)] -> 0.  h2 (uniform integrability of the
     discounted exponential) is not machine-checkable in general; for these
-    Levy families psi(1) < r is the sufficient condition, recorded in
-    ``h2_note`` rather than asserted.
+    Levy families psi(1) < r is the sufficient condition.
     """
 
-    h1_ok: bool
-    h2_note: str
     h3_ok: bool
     h4_ok: bool
     psi_at_one: float
@@ -163,14 +160,7 @@ def check_hypotheses(m: ModelSpec) -> HypothesisReport:
     psi1 = laplace_exponent(m, 1.0)
     h3 = psi1 < m.r
     h4 = m.sigma > 0.0 or (m.lambda_j > 0.0 and 0.0 < m.p_up < 1.0)
-    note = (
-        "uniform integrability of exp(-r*t + X_t) is not machine-checkable "
-        "in general; psi(1) < r is the operative sufficient condition for "
-        "the implemented families"
-    )
-    return HypothesisReport(
-        h1_ok=True, h2_note=note, h3_ok=h3, h4_ok=h4, psi_at_one=psi1
-    )
+    return HypothesisReport(h3_ok=h3, h4_ok=h4, psi_at_one=psi1)
 
 
 def negative_root(m: ModelSpec, tol: float = 1e-12) -> float:

@@ -50,17 +50,6 @@ _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 @dataclass(frozen=True)
-class ThresholdPolicy:
-    """Stop the first time V drops to b or below."""
-
-    b: float
-
-    def __post_init__(self) -> None:
-        if not (self.b > 0.0):
-            raise ValueError(f"threshold must be > 0, got {self.b}")
-
-
-@dataclass(frozen=True)
 class McEstimate:
     """Monte Carlo value of a hitting-time policy.
 

@@ -1,9 +1,13 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from affinestop.cli import ConfigError, RunConfig, main, parse_config, run
+from affinestop.cli import _KEYS, ConfigError, RunConfig, main, parse_config, run
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 GBM_CONFIG = """\
 # flagship diffusion, a hair inside the psi(1) < r screen
@@ -57,7 +61,7 @@ class TestParseConfig:
         assert cfg.solver == "closed"
         assert cfg.model.sigma == 1.4142135
         assert cfg.payoff.alpha == 1.0
-        assert cfg.grid_n_states == 2000  # default
+        assert cfg.grid.n_states == 2000  # default
         assert cfg.output == "out"
 
     def test_negative_rate_rejected(self):
@@ -92,6 +96,59 @@ class TestParseConfig:
         cfg = parse_config("\n# comment\nmodel.r = 2.0  # trailing\n"
                            "payoff.alpha = 1\npayoff.c = 1\nsolver = closed\n")
         assert cfg.model.r == 2.0
+
+    def test_every_key_lands_in_its_field(self):
+        values = {
+            "model.mu": -0.1, "model.sigma": 0.9, "model.lambda_j": 0.3,
+            "model.p_up": 0.25, "model.eta_up": 7.5, "model.eta_down": 3.5,
+            "model.r": 0.8, "payoff.alpha": 2.0, "payoff.c": 3.0,
+            "solver": "lattice", "v0": 1.5, "grid.v_min": 0.01,
+            "grid.v_max": 9.0, "grid.n_states": 123, "grid.dt": 0.02,
+            "mc.n_paths": 4321, "mc.t_max": 6.5, "mc.dt": 0.005,
+            "mc.seed": 17, "oracle.depth": 3, "output": "elsewhere",
+        }
+        assert set(values) == set(_KEYS)
+        cfg = parse_config("".join(f"{k} = {v}\n" for k, v in values.items()))
+        defaults = parse_config(
+            "model.r = 1\npayoff.alpha = 1\npayoff.c = 1\nsolver = closed")
+        for key, want in values.items():
+            assert _field(cfg, key) == want and type(_field(cfg, key)) is type(want), key
+            assert _field(defaults, key) != want, key
+
+    def test_readme_config_block_matches_parser(self):
+        # the README block: keys that are set, then "# key = default" lines
+        blocks = re.findall(r"^```[^\n]*\n(.*?)^```$",
+                            README.read_text(encoding="utf-8"), re.S | re.M)
+        (block,) = [b for b in blocks if "\nsolver = " in b]
+        set_lines = [ln for ln in block.splitlines() if not ln.startswith("#")]
+        documented = dict(
+            pair for ln in block.splitlines() if ln.startswith("#")
+            for pair in re.findall(r"([\w.]+) = (\S+)", ln))
+        set_keys = {ln.split("=", 1)[0].strip() for ln in set_lines}
+        assert not set_keys & set(documented)
+        assert set_keys | set(documented) == set(_KEYS)
+        base = "\n".join(set_lines)
+        cfg = parse_config(base)
+        for key, text in documented.items():
+            assert parse_config(f"{base}\n{key} = {text}") == cfg, key
+
+
+def _field(cfg: RunConfig, key: str):
+    section, _, name = key.rpartition(".")
+    return getattr(getattr(cfg, section) if section else cfg, name)
+
+
+@pytest.mark.parametrize("key, text", [
+    ("grid.n_states", "inf"), ("grid.n_states", "nan"), ("mc.t_max", "inf"),
+    ("v0", "inf"), ("payoff.c", "inf"),
+])
+def test_non_finite_number_is_usage_error_naming_key(tmp_path, capsys, key, text):
+    lines = [ln for ln in GBM_CONFIG.splitlines() if not ln.startswith(f"{key} ")]
+    cfg_path = tmp_path / "cfg"
+    cfg_path.write_text("\n".join(lines + [f"{key} = {text}"]) + "\n")
+    code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert f"error: {key}: " in capsys.readouterr().err
 
 
 class TestRunClosed:
@@ -212,7 +269,7 @@ class TestRunMc:
         out1, out2 = tmp_path / "a", tmp_path / "b"
         from dataclasses import replace
         assert run(cfg, out_dir=str(out1)) == 0
-        assert run(replace(cfg, mc_seed=12), out_dir=str(out2)) == 0
+        assert run(replace(cfg, mc=replace(cfg.mc, seed=12)), out_dir=str(out2)) == 0
         assert ((out1 / "summary.csv").read_bytes()
                 != (out2 / "summary.csv").read_bytes())
 
@@ -240,8 +297,8 @@ class TestRunMc:
         v, s = (out / "value_function.csv").read_text().splitlines()[-1].split(",")[:2]
         assert float(v) > b_star
         est = threshold.hitting_value_mc(
-            cfg.model, cfg.payoff, float(v), b_star, n_paths=cfg.mc_n_paths,
-            t_max=cfg.mc_t_max, dt=cfg.mc_dt, seed=cfg.mc_seed)
+            cfg.model, cfg.payoff, float(v), b_star, n_paths=cfg.mc.n_paths,
+            t_max=cfg.mc.t_max, dt=cfg.mc.dt, seed=cfg.mc.seed)
         assert s == repr(est.mean)
 
     def test_verbose_notes_each_sweep_outputs_unchanged(self, tmp_path, capsys):
@@ -312,6 +369,14 @@ class TestMainEntry:
         assert ((out1 / "summary.csv").read_bytes()
                 != (out2 / "summary.csv").read_bytes())
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg"
+        cfg_path.write_text(MC_CONFIG)
+        assert main(["mc", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                     "--seed", "-1"]) == 3
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_verify_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg"
         cfg_path.write_text(GBM_CONFIG)
@@ -333,3 +398,9 @@ class TestMainEntry:
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
         assert main(["verify", str(bad), "--alpha", "1", "--c", "1"]) == 3
+
+    def test_verify_short_row_is_usage_error(self, tmp_path, capsys):
+        short = tmp_path / "short.csv"
+        short.write_text("v,s\n0.1,0.9\n0.2\n")
+        assert main(["verify", str(short), "--alpha", "1", "--c", "1"]) == 3
+        assert capsys.readouterr().err.startswith("error: ")

@@ -12,7 +12,6 @@ from affinestop.lattice import (
     build_chain,
     extract_threshold,
     value_iteration,
-    write_snell_csv,
 )
 from affinestop.model import (
     ModelSpec,
@@ -260,22 +259,3 @@ class TestExtractThreshold:
                           threshold_index=None, iterations=1, residual=0.0)
         with pytest.raises(ValueError):
             extract_threshold(res, ch)
-
-
-class TestCsvExport:
-    def test_round_trip_and_determinism(self, tmp_path):
-        ch = build_chain(GBM, 0.1, 4.0, n_states=50, dt=0.02)
-        res = value_iteration(ch, UNIT_PAYOFF, tol=1e-7)
-        p1 = tmp_path / "a.csv"
-        p2 = tmp_path / "b.csv"
-        write_snell_csv(p1, res, ch, UNIT_PAYOFF)
-        write_snell_csv(p2, res, ch, UNIT_PAYOFF)
-        b1 = p1.read_bytes()
-        assert b1 == p2.read_bytes()
-        lines = b1.decode().splitlines()
-        assert lines[0] == "v,s,f,is_stop"
-        assert len(lines) == 51
-        v0, s0, f0, st0 = lines[1].split(",")
-        assert float(v0) == ch.states[0]
-        assert float(s0) == res.values[0]
-        assert st0 in {"0", "1"}

@@ -6,7 +6,6 @@ import pytest
 from affinestop.model import ModelSpec, PayoffSpec, UnsupportedModelError, payoff
 from affinestop.threshold import (
     McEstimate,
-    ThresholdPolicy,
     hitting_value_closed,
     hitting_value_mc,
     hitting_value_mc_curve,
@@ -39,11 +38,6 @@ class TestClosedForm:
             hitting_value_closed(KOU, UNIT, 1.0, 0.5)
         with pytest.raises(UnsupportedModelError):
             optimal_threshold_closed(KOU, UNIT)
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            ThresholdPolicy(b=0.0)
-        assert ThresholdPolicy(b=0.4).b == 0.4
 
 
 class TestOptimalThresholdClosed:
