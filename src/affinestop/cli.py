@@ -108,7 +108,8 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class McSpec:
-    """Monte Carlo paths, horizon, time step and seed."""
+    """Monte Carlo paths, horizon and seed; dt is validated but inert, since
+    the engine moves paths from event to event."""
 
     n_paths: int = 100_000
     t_max: float = 20.0
@@ -382,7 +383,8 @@ def _note_sweep(report: _Report, levels: int, seconds: float,
                 deepest: McEstimate) -> None:
     report.note(
         f"mc sweep: levels={levels} paths={deepest.n_paths} "
-        f"wall_s={seconds:.3f} deepest_truncated_frac={deepest.truncated_frac!r}"
+        f"wall_s={seconds:.3f} deepest_truncated_frac={deepest.truncated_frac!r} "
+        f"intervals_per_path={deepest.intervals_per_path:.3f}"
     )
 
 
@@ -397,8 +399,11 @@ def _run_mc(cfg: RunConfig, out: Path, report: _Report) -> _Summary:
         )
     mc_args = asdict(cfg.mc)
     ladder = np.linspace(b_lo, b_hi, _LADDER_POINTS)
+    # The search draws from its own substreams: valuing v0 on the paths
+    # whose noisy curve picked b* would bias that value upwards.
     t0 = time.perf_counter()
-    curve = hitting_value_mc_curve(cfg.model, cfg.payoff, cfg.v0, ladder, **mc_args)
+    curve = hitting_value_mc_curve(cfg.model, cfg.payoff, cfg.v0, ladder,
+                                   **mc_args, stream=1)
     _note_sweep(report, len(ladder), time.perf_counter() - t0, curve[0])
     means = np.array([e.mean for e in curve])
     b_star = optimize_threshold(
@@ -406,9 +411,10 @@ def _run_mc(cfg: RunConfig, out: Path, report: _Report) -> _Summary:
         b_lo, b_hi, tol=1e-3 * (b_hi - b_lo),
     )
 
-    # Policy-value table plus the estimate at v0, all from one sweep: tau_b*
-    # from each start is one passage level of the same paths (common
-    # randomness, same seed).  Starts at or below b* are the exact payoff.
+    # Policy-value table plus the estimate at v0, all from one sweep on the
+    # default substreams: tau_b* from each start is one passage level of the
+    # same paths (common randomness).  Starts at or below b* are the exact
+    # payoff.
     v_grid = np.geomspace(cfg.grid.v_min, cfg.grid.v_max, _MC_TABLE_POINTS)
     starts, where = np.unique(np.append(v_grid, cfg.v0), return_inverse=True)
     t0 = time.perf_counter()

@@ -5,10 +5,14 @@ Two routes:
 * closed form for continuous paths, via E_v[exp(-r*tau_b)] = (v/b)**lam
   with lam the negative root of the Laplace exponent at level r (no
   overshoot, so V at the hitting time equals b exactly);
-* Monte Carlo for jump models (and as a cross-check), simulating exact
-  increments step by step, sampling the within-step Brownian-bridge
-  minimum so diffusion crossings between grid points are not missed, and
-  keeping the overshoot when a jump carries V strictly below b.
+* Monte Carlo for jump models (and as a cross-check), event by event with
+  no time step.  The discount is an independent exponential kill at rate r
+  (Carr's randomisation): E[exp(-r*tau) f(V_tau)] = E[f(V_tau); tau < kill].
+  A path runs from one event (a jump or the kill) to the next, each
+  interval's Brownian-bridge minimum is drawn exactly, so diffusion
+  crossings are valued exactly at b, and a jump carrying V below b keeps its
+  overshoot.  Nothing is booked at a step end and no step holds both a jump
+  and a bridge; the only approximation is the cut at t_max.
 
 Monte Carlo determinism: paths are processed in fixed-size blocks, each
 block drawing from its own substream keyed by (seed, block index), and all
@@ -43,7 +47,6 @@ from affinestop.model import (
 )
 
 _BLOCK = 8192     # paths per substream block
-_KSTEPS = 64      # time steps simulated per vectorised slab
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -53,12 +56,16 @@ _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 class McEstimate:
     """Monte Carlo value of a hitting-time policy.
 
-    mean/stderr     -- sample mean and standard error over paths
-    n_paths         -- paths simulated
-    truncated_frac  -- fraction not crossing by t_max (they contribute 0)
-    bias_bound      -- truncated_frac * exp(-r*t_max) * c, a bound on the
-                       magnitude the truncation can hide under the
-                       psi(1) < r screen
+    mean/stderr         -- sample mean and standard error over paths
+    n_paths             -- paths simulated
+    truncated_frac      -- fraction of paths neither killed nor crossed by
+                           t_max (they contribute 0)
+    bias_bound          -- truncated_frac * c, a bound on the magnitude the
+                           truncation can hide; the exp(-r*t_max) discount
+                           of those paths is already their survival of the
+                           kill
+    intervals_per_path  -- mean number of inter-event intervals simulated
+                           per path in the sweep (0 for an immediate stop)
     """
 
     mean: float
@@ -66,6 +73,7 @@ class McEstimate:
     n_paths: int
     truncated_frac: float
     bias_bound: float
+    intervals_per_path: float = 0.0
 
 
 def hitting_value_closed(m: ModelSpec, p: PayoffSpec, v: float, b: float) -> float:
@@ -177,109 +185,78 @@ def _block_partial(
     dt: float,
     seed: int,
     block: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """First-passage contributions of one block of paths.
+    *,
+    stream: int = 0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """First-passage partials of one block of paths: per level the sum and
+    sum of squares of the path values and the count of truncated paths, plus
+    the number of intervals simulated.
 
-    The block draws from its own substream keyed by (seed, block), so the
-    result depends on nothing but the arguments; blocks can be computed in
-    any order (or on any thread) and reduced in block-index order.
+    The block draws from its own substream keyed by (seed, block), or by
+    (seed, block, stream) for a nonzero ``stream``, so the result depends on
+    nothing but the arguments; blocks can be computed in any order (or on
+    any thread) and reduced in block-index order.  ``dt`` does not enter:
+    paths move from event to event, not by time steps.
     """
     n_levels = len(b_desc)
     asc = -lev  # ascending
     v_lev = np.broadcast_to(v, b_desc.shape)
-
-    n_full = int(math.floor(t_max / dt + 1e-9))
-    rem = t_max - n_full * dt
-    has_rem = rem > 1e-12 * dt
-
-    sums = np.zeros(n_levels)
-    sumsq = np.zeros(n_levels)
-    ncross = np.zeros(n_levels, dtype=np.int64)
-
-    sig = m.sigma
-    lam_j = m.lambda_j
-    mu = m.mu
+    sig, mu = m.sigma, m.mu
     alpha, c = p.alpha, p.c
+    rate = m.lambda_j + m.r        # next event: a jump or the kill
+    p_up = m.lambda_j * m.p_up / rate
+    p_jump = m.lambda_j / rate
 
-    rng = np.random.default_rng((seed, block))
+    rng = np.random.default_rng((seed, block, stream) if stream else (seed, block))
     x = np.zeros(nb)
-    ptr = np.zeros(nb, dtype=np.int64)
-    step = 0
+    t = np.zeros(nb)
+    ptr = np.zeros(nb, dtype=np.int64)  # levels [0, ptr) already crossed
+    # diffusion crossings and truncations, differenced over the levels
+    d_cross = np.zeros(n_levels + 1, dtype=np.int64)
+    d_trunc = np.zeros(n_levels + 1, dtype=np.int64)
+    jump_sum = np.zeros(n_levels)
+    jump_sumsq = np.zeros(n_levels)
+    intervals = 0
 
-    def run_slab(x, ptr, k, h, base_step, final_time=None):
-        n_alive = len(x)
-        if lam_j > 0.0:
-            counts = rng.poisson(lam_j * h, size=(n_alive, k))
-            total = int(counts.sum())
-            up = rng.random(total) < m.p_up
-            mags = rng.standard_exponential(total)
-            jumps = np.where(up, mags / m.eta_up, -mags / m.eta_down)
-            jsum = np.bincount(
-                np.repeat(np.arange(n_alive * k), counts.ravel()),
-                weights=jumps,
-                minlength=n_alive * k,
-            ).reshape(n_alive, k)
-        else:
-            counts = None
-            jsum = None
-        incr = np.full((n_alive, k), mu * h)
-        if jsum is not None:
-            incr += jsum
-        if sig > 0.0:
-            z = rng.standard_normal((n_alive, k))
-            u = rng.random((n_alive, k))
-            incr += sig * math.sqrt(h) * z
-        x_cur = x[:, None] + np.cumsum(incr, axis=1)
-        x_prev = np.concatenate([x[:, None], x_cur[:, :-1]], axis=1)
-        if sig > 0.0:
-            q = -0.5 * sig * sig * h * np.log1p(-u)
-            diff = x_cur - x_prev
-            eff = 0.5 * (x_prev + x_cur - np.sqrt(diff * diff + 4.0 * q))
-        else:
-            eff = x_cur
-        running = np.minimum.accumulate(eff, axis=1)
+    while len(x):
+        n = len(x)
+        intervals += n
+        gap = rng.standard_exponential(n) / rate
+        clipped = gap >= t_max - t
+        h = np.minimum(gap, t_max - t)
+        x_end = x + mu * h + sig * np.sqrt(h) * rng.standard_normal(n)
+        q = -0.5 * sig * sig * h * np.log1p(-rng.random(n))
+        step = x_end - x
+        low = 0.5 * (x + x_end - np.sqrt(step * step + 4.0 * q))
+        hit = np.maximum(np.searchsorted(asc, -low, side="right"), ptr)
+        d_cross += (np.bincount(ptr, minlength=n_levels + 1)
+                    - np.bincount(hit, minlength=n_levels + 1))
+        d_trunc += np.bincount(hit[clipped], minlength=n_levels + 1)
 
-        new_ptr = np.searchsorted(asc, -running[:, -1], side="right")
-        np.maximum(new_ptr, ptr, out=new_ptr)
-        counts_new = new_ptr - ptr
-        total_new = int(counts_new.sum())
-        if total_new:
-            rows = np.repeat(np.arange(n_alive), counts_new)
-            offs = np.repeat(
-                np.concatenate(([0], np.cumsum(counts_new)[:-1])), counts_new
-            )
-            j_flat = ptr[rows] + (np.arange(total_new) - offs)
-            lev_flat = lev[j_flat]
-            k_star = (running[rows] > lev_flat[:, None]).sum(axis=1)
-            endpoint = x_cur[rows, k_star]
-            if final_time is None:
-                tau = (base_step + k_star + 1) * dt
-            else:
-                tau = np.full(total_new, final_time)
-            if counts is not None:
-                jumped = counts[rows, k_star] > 0
-                val = np.where(
-                    (endpoint <= lev_flat) & jumped,
-                    v_lev[j_flat] * np.exp(endpoint),
-                    b_desc[j_flat],
-                )
-            else:
-                val = b_desc[j_flat]
-            contrib = np.exp(-m.r * tau) * (c - alpha * val)
-            np.add.at(sums, j_flat, contrib)
-            np.add.at(sumsq, j_flat, contrib * contrib)
-            np.add.at(ncross, j_flat, 1)
-        keep = new_ptr < n_levels
-        return x_cur[keep, -1], new_ptr[keep]
+        # one uniform picks the event: up jump, down jump or the kill
+        e = rng.random(n)
+        jumps = ~clipped & (e < p_jump)
+        up = e[jumps] < p_up
+        mags = rng.standard_exponential(len(up))
+        x_end[jumps] += np.where(up, mags / m.eta_up, -mags / m.eta_down)
+        after = np.maximum(np.searchsorted(asc, -x_end[jumps], side="right"),
+                           hit[jumps])
+        n_new = after - hit[jumps]
+        rows = np.repeat(np.flatnonzero(jumps), n_new)
+        j_flat = np.arange(len(rows)) + np.repeat(
+            hit[jumps] - (np.cumsum(n_new) - n_new), n_new)
+        contrib = c - alpha * (v_lev[j_flat] * np.exp(x_end[rows]))
+        jump_sum += np.bincount(j_flat, contrib, n_levels)
+        jump_sumsq += np.bincount(j_flat, contrib * contrib, n_levels)
+        hit[jumps] = after
+        live = jumps & (hit < n_levels)
+        x, t, ptr = x_end[live], t[live] + h[live], hit[live]
 
-    while step < n_full and len(x):
-        k = min(_KSTEPS, n_full - step)
-        x, ptr = run_slab(x, ptr, k, dt, step)
-        step += k
-    if has_rem and len(x):
-        run_slab(x, ptr, 1, rem, n_full, final_time=t_max)
-
-    return sums, sumsq, ncross
+    n_cross = np.cumsum(d_cross)[:n_levels]
+    f_b = c - alpha * b_desc
+    sums = n_cross * f_b + jump_sum
+    sumsq = n_cross * f_b * f_b + jump_sumsq
+    return sums, sumsq, np.cumsum(d_trunc)[:n_levels], intervals
 
 
 def _sweep_first_passage(
@@ -291,69 +268,84 @@ def _sweep_first_passage(
     t_max: float,
     dt: float,
     seed: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    *,
+    stream: int = 0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Simulate first passage below each level of a descending ladder in one
-    pass and accumulate (sum, sum of squares, crossing count) per level.
+    pass and accumulate, per level, the sum and sum of squares of the path
+    values and the count of truncated paths; also count the intervals
+    simulated.
 
     Level j is V started from v_j falling to b_j, where ``v`` is one start
     for every level or a per-level array.  By spatial homogeneity that is X,
     started at 0, falling to lev_j = log(b_j / v_j); the levels must be
-    strictly descending and below 0.  Every path is simulated until it
-    crosses the lowest level or t_max, so draw consumption depends only on
-    the lowest level: the ladder shares one set of paths (common random
-    numbers), and the lowest level's sums equal those of a one-level sweep
-    at that level bit for bit.  A path's contribution to level j is
-    exp(-r*tau_j) * f(V_tau_j), where V at the crossing is the post-jump
-    value v_j * exp(X) when a jump carried the step endpoint below the level
-    (overshoot kept) and exactly b_j otherwise; diffusion crossings inside a
-    step are detected by sampling the Brownian-bridge minimum between step
-    endpoints, and the crossing time is booked at the step end.
+    strictly descending and below 0.
+
+    The discount is an independent exponential kill at rate r:
+    E[exp(-r*tau) f(V_tau)] = E[f(V_tau); tau < kill].  A path runs from
+    event to event; the next event comes after an Exp(lambda + r) time and
+    is a double-exponential jump with probability lambda / (lambda + r),
+    otherwise the kill.  On each interval the Gaussian endpoint and the
+    Brownian-bridge minimum are drawn exactly; every level at or above the
+    minimum is a diffusion crossing, valued at f(b_j).  A jump carrying X
+    below a level keeps its overshoot, valued at f(v_j * exp(X)).  The kill
+    values the path's remaining levels at 0.  Intervals are clipped at
+    t_max; a path alive and above a level there is truncated for that level
+    and values it at 0.  There is no time step: ``dt`` does not enter.
+
+    Every path runs until it crosses the lowest level, is killed or reaches
+    t_max, so draw consumption depends only on the lowest level: the ladder
+    shares one set of paths (common random numbers), and the lowest level's
+    sums equal those of a one-level sweep at that level bit for bit.
 
     Per-block partials are reduced in block-index order, so the result does
-    not depend on the order blocks are computed in.
+    not depend on the order blocks are computed in.  A nonzero ``stream``
+    draws every block from (seed, block, stream), disjoint from the default
+    (seed, block) substreams.
     """
     lev = np.log(b_desc / v)  # descending, all < 0
     sums = np.zeros(len(b_desc))
     sumsq = np.zeros(len(b_desc))
-    ncross = np.zeros(len(b_desc), dtype=np.int64)
+    n_trunc = np.zeros(len(b_desc), dtype=np.int64)
+    intervals = 0
     n_blocks = (n_paths + _BLOCK - 1) // _BLOCK
     for block in range(n_blocks):
         nb = min(_BLOCK, n_paths - block * _BLOCK)
-        bs, bs2, bn = _block_partial(
-            m, p, v, b_desc, lev, nb, t_max, dt, seed, block
+        bs, bs2, bt, bi = _block_partial(
+            m, p, v, b_desc, lev, nb, t_max, dt, seed, block, stream=stream
         )
         sums += bs
         sumsq += bs2
-        ncross += bn
-    return sums, sumsq, ncross
+        n_trunc += bt
+        intervals += bi
+    return sums, sumsq, n_trunc, intervals
 
 
 def _estimates_from_sums(
     p: PayoffSpec,
-    m: ModelSpec,
     n_paths: int,
-    t_max: float,
     sums: np.ndarray,
     sumsq: np.ndarray,
-    ncross: np.ndarray,
+    n_trunc: np.ndarray,
+    intervals: int,
 ) -> list[McEstimate]:
     out = []
-    tail = math.exp(-m.r * t_max) * p.c
-    for s, s2, nc in zip(sums, sumsq, ncross):
+    for s, s2, nt in zip(sums, sumsq, n_trunc):
         mean = s / n_paths
         if n_paths > 1:
             var = max(s2 - n_paths * mean * mean, 0.0) / (n_paths - 1)
             stderr = math.sqrt(var / n_paths)
         else:
             stderr = 0.0
-        trunc = (n_paths - int(nc)) / n_paths
+        trunc = int(nt) / n_paths
         out.append(
             McEstimate(
                 mean=float(mean),
                 stderr=float(stderr),
                 n_paths=n_paths,
                 truncated_frac=float(trunc),
-                bias_bound=float(trunc * tail),
+                bias_bound=float(trunc * p.c),
+                intervals_per_path=intervals / n_paths,
             )
         )
     return out
@@ -377,12 +369,14 @@ def _ladder_estimates(
     t_max: float,
     dt: float,
     seed: int,
+    stream: int = 0,
 ) -> list[McEstimate]:
     """Value tau_{b_j} from v_j for every rung of a ladder in one sweep.
 
     The rungs must be ordered so that log(b_j / v_j) strictly descends.
     Rungs with b_j >= v_j are the degenerate immediate stop (mean f(v_j),
-    zero error); they lead the ladder, and the rest share one sweep.
+    zero error); they lead the ladder, and the rest share one sweep.  ``dt``
+    is validated (0 < dt <= t_max) but does not enter the estimate.
     """
     if not (np.all(v > 0.0) and np.all(b > 0.0)):
         raise ValueError("starts v and thresholds b must be > 0")
@@ -397,10 +391,10 @@ def _ladder_estimates(
         for vj in v[~live]
     ]
     if np.any(live):
-        sums, sumsq, ncross = _sweep_first_passage(
-            m, p, v[live], b[live], n_paths, t_max, dt, seed
+        sweep = _sweep_first_passage(
+            m, p, v[live], b[live], n_paths, t_max, dt, seed, stream=stream
         )
-        out += _estimates_from_sums(p, m, n_paths, t_max, sums, sumsq, ncross)
+        out += _estimates_from_sums(p, n_paths, *sweep)
     return out
 
 
@@ -417,8 +411,10 @@ def hitting_value_mc(
     """Monte Carlo value of tau_b from v; works for jump models.
 
     b >= v is the degenerate immediate stop: mean f(v), zero error.  Paths
-    not crossing by t_max contribute 0 and are counted in truncated_frac;
-    the induced bias is bounded by truncated_frac * exp(-r*t_max) * c.
+    neither killed nor crossed by t_max contribute 0 and are counted in
+    truncated_frac; the induced bias is bounded by truncated_frac * c.
+    ``dt`` is validated (0 < dt <= t_max) but does not enter the estimate:
+    the paths are simulated event by event (see ``_sweep_first_passage``).
 
     ``v`` may also be a strictly increasing 1-d sequence of starts; the
     result is then a list in the same order, valued from one sweep (common
@@ -440,15 +436,20 @@ def hitting_value_mc_curve(
     t_max: float,
     dt: float,
     seed: int,
+    *,
+    stream: int = 0,
 ) -> list[McEstimate]:
     """Value a whole ladder of thresholds from one simulation.
 
     ``bs`` must be strictly increasing and positive.  Every path is driven
-    until it crosses the smallest threshold (or t_max), so all levels see
-    exactly the same randomness: the resulting curve is smooth in b and
-    suitable for golden-section search (common random numbers).
+    until it crosses the smallest threshold, is killed or reaches t_max, so
+    all levels see exactly the same randomness: the resulting curve is
+    smooth in b and suitable for golden-section search (common random
+    numbers).  ``dt`` is validated but inert, as in ``hitting_value_mc``.
+    A nonzero ``stream`` draws from substreams (seed, block, stream),
+    independent of the (seed, block) ones every default call uses.
     """
     bs = _increasing(bs, "bs")
     ests = _ladder_estimates(m, p, np.full(len(bs), float(v)), bs[::-1],
-                             n_paths, t_max, dt, seed)
+                             n_paths, t_max, dt, seed, stream)
     return ests[::-1]

@@ -317,6 +317,34 @@ class TestRunMc:
         for path in quiet.iterdir():
             assert path.read_bytes() == (loud / path.name).read_bytes(), path.name
 
+    def test_verbose_notes_intervals_per_path(self, tmp_path, capsys):
+        # a diffusion path runs one interval: the kill or the t_max cut
+        assert run(parse_config(MC_CONFIG), out_dir=str(tmp_path), verbose=True) == 0
+        notes = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("mc sweep:")]
+        assert len(notes) == 2
+        assert all(n.endswith(" intervals_per_path=1.000") for n in notes)
+
+    def test_v0_value_is_out_of_sample(self, tmp_path):
+        # b* is picked on a noisy curve; valuing v0 on those same paths
+        # would bias the value up.  Over seeded runs the value at v0 must
+        # centre on the exact value of the run's own b*: mean z within 3
+        # standard errors of the mean, 3/sqrt(N).
+        from affinestop.threshold import hitting_value_closed
+
+        base = MC_CONFIG.replace("mc.n_paths = 2000", "mc.n_paths = 2048")
+        base = base.replace("mc.t_max = 5.0", "mc.t_max = 20.0")
+        z = []
+        for seed in range(300):
+            cfg = parse_config(base.replace("mc.seed = 11", f"mc.seed = {seed}"))
+            out = tmp_path / str(seed)
+            assert run(cfg, out_dir=str(out)) == 0
+            b_star, value, _, stderr = (
+                (out / "summary.csv").read_text().splitlines()[1].split(","))
+            exact = hitting_value_closed(cfg.model, cfg.payoff, cfg.v0, float(b_star))
+            z.append((float(value) - exact) / float(stderr))
+        assert abs(np.mean(z)) <= 3.0 / math.sqrt(len(z))
+
 
 class TestRunOracle:
     def test_pipeline(self, tmp_path):

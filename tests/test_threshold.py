@@ -17,6 +17,8 @@ GBM = ModelSpec(mu=0.0, sigma=math.sqrt(2.0), r=1.0)
 UNIT = PayoffSpec(alpha=1.0, c=1.0)
 KOU = ModelSpec(mu=0.05, sigma=0.2, lambda_j=1.0, p_up=0.4,
                 eta_up=10.0, eta_down=5.0, r=0.3)
+BENCH_KOU = ModelSpec(mu=0.0, sigma=1.0, lambda_j=0.5, p_up=0.4,
+                      eta_up=8.0, eta_down=4.0, r=1.0)
 
 
 class TestClosedForm:
@@ -175,6 +177,44 @@ class TestHittingValueMc:
         est = hitting_value_mc(KOU, UNIT, v=1.0, b=b_hat, n_paths=40_000,
                                t_max=25.0, dt=5e-3, seed=1)
         assert abs(est.mean - s1) <= 4.0 * est.stderr + 3e-3
+
+    @pytest.mark.parametrize("model", [GBM, KOU], ids=["GBM", "Kou"])
+    def test_dt_is_inert(self, model):
+        # paths move from event to event, so the step size never enters
+        kw = dict(n_paths=3000, t_max=6.0, seed=17)
+        starts = [0.8, 1.0, 2.0]
+        assert (hitting_value_mc(model, UNIT, starts, 0.6, dt=1e-3, **kw)
+                == hitting_value_mc(model, UNIT, starts, 0.6, dt=6.0, **kw))
+
+    def test_kou_matches_kou_wang_anchor(self):
+        # benchmark Kou model; Kou-Wang creep/jump value of tau_0.5 from 1
+        est = hitting_value_mc(BENCH_KOU, UNIT, v=1.0, b=0.5, n_paths=120_000,
+                               t_max=20.0, dt=1e-3, seed=4)
+        assert est.intervals_per_path > 1.0
+        assert abs(est.mean - 0.197421) <= 4.0 * est.stderr
+
+    def test_short_horizon_truncation_bound(self):
+        # a path alive and uncrossed at t_max contributes 0; its kill
+        # survival already carries exp(-r*t_max), so the bound is trunc * c
+        est = hitting_value_mc(GBM, UNIT, v=1.0, b=0.5, n_paths=20_000,
+                               t_max=0.3, dt=1e-3, seed=8)
+        assert est.truncated_frac > 0.1
+        assert est.bias_bound == est.truncated_frac * UNIT.c
+        assert abs(est.mean - 0.25) <= 4.0 * est.stderr + est.bias_bound
+
+    def test_diffusion_paths_run_one_interval(self):
+        # without jumps the first event is the kill (or the t_max cut)
+        est = hitting_value_mc(GBM, UNIT, v=1.0, b=0.5, n_paths=500,
+                               t_max=5.0, dt=0.1, seed=3)
+        assert est.intervals_per_path == 1.0
+
+    def test_stream_is_disjoint_and_deterministic(self):
+        kw = dict(n_paths=2000, t_max=5.0, dt=0.01, seed=9)
+        bs = [0.4, 0.6]
+        base = hitting_value_mc_curve(KOU, UNIT, 1.0, bs, **kw)
+        other = hitting_value_mc_curve(KOU, UNIT, 1.0, bs, **kw, stream=1)
+        assert other == hitting_value_mc_curve(KOU, UNIT, 1.0, bs, **kw, stream=1)
+        assert all(a.mean != b.mean for a, b in zip(base, other))
 
 
 class TestCurveAndCrnSearch:
