@@ -3,11 +3,14 @@
 The state space is a log-spaced grid; because X has stationary independent
 increments, every kernel row is the same one-step increment distribution
 shifted to the row's grid cell, so the whole kernel comes from a single
-increment CDF evaluated at cell edges.  Mass escaping the grid piles onto
-the boundary states (conservative at the lower boundary, where the payoff
-is largest; slightly inflating at the top).  The optimal stopping problem on
-the chain is solved exactly by Howard's policy iteration, whose iteration
-count does not grow as dt shrinks.
+increment CDF evaluated at cell edges.  That CDF is the exact Gaussian one
+(a unit step for a deterministic drift, so every row moves by the same
+offset), with the jumps folded in through the characteristic function of
+the jump sum by one FFT.  Mass escaping the grid piles onto the boundary
+states (conservative at the lower boundary, where the payoff is largest;
+slightly inflating at the top).  The optimal stopping problem on the chain
+is solved exactly by Howard's policy iteration, whose iteration count does
+not grow as dt shrinks.
 """
 
 from __future__ import annotations
@@ -16,16 +19,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 from scipy.special import ndtr
 
 from affinestop.model import ModelSpec, PayoffSpec, payoff
 
-# Kernel entries below this are dropped before row renormalisation; keeps
-# diffusion kernels banded without visible effect at solver tolerances.
+# Kernel entries below this are dropped before row renormalisation.  They are
+# below the rounding of a row sum; kept, they drive the dense policy
+# evaluation into subnormal arithmetic, which slows it measurably.
 _ENTRY_FLOOR = 1e-16
-# Poisson jump-count truncation: tail mass below this is ignored.
-_POISSON_TAIL = 1e-12
 
 
 class ConvergenceError(RuntimeError):
@@ -91,28 +92,21 @@ class SnellResult:
     residual: float
 
 
-def _poisson_weights(mean: float) -> np.ndarray:
-    """Poisson pmf truncated where the remaining tail drops below 1e-12."""
-    w = [math.exp(-mean)]
-    total = w[0]
-    n = 0
-    while 1.0 - total > _POISSON_TAIL:
-        n += 1
-        w.append(w[-1] * mean / n)
-        total += w[-1]
-        if n > 10_000:  # pragma: no cover - mean would have to be absurd
-            raise ValueError("Poisson truncation did not close; mean too large")
-    return np.asarray(w)
-
-
 def _increment_cdf_at(m: ModelSpec, dt: float, h: float, m_lo: int, m_hi: int) -> np.ndarray:
     """CDF of the increment of X over dt at the points (k - 0.5)*h, k=m_lo..m_hi.
 
-    Conditions on the Poisson jump count: the zero-jump term is the exact
-    Gaussian CDF (a unit step when sigma == 0); terms with n >= 1 jumps are
-    built by convolving that base CDF with the jump density n times on a
-    fine grid whose spacing divides h/2, so the requested points land on
-    grid nodes exactly.
+    Without jumps this is the exact Gaussian CDF (a unit step when
+    sigma == 0).  With jumps the increment adds a compound-Poisson sum whose
+    characteristic function is exp(lam*(g_hat - 1)), lam = lambda_j*dt, g_hat
+    that of one jump (Fourier space time-stepping: Jackson, Jaimungal &
+    Surkov 2008).  So every jump count comes from one FFT product: the
+    Gaussian CDF, sampled on a fine grid whose spacing divides h/2 (the
+    requested points land on grid nodes exactly), times the exponentiated
+    transform of the sampled one-jump density, wrapped onto a power-of-two
+    periodic grid.  The fine grid reaches 2*(37 + lam)/min(eta) past the
+    requested points: a Chernoff bound at theta = eta/2 puts the jump-sum
+    mass beyond that below exp(-37), so truncation and wrap-around stay at
+    rounding level.
     """
     mean = m.mu * dt
     sd = m.sigma * math.sqrt(dt)
@@ -127,26 +121,23 @@ def _increment_cdf_at(m: ModelSpec, dt: float, h: float, m_lo: int, m_hi: int) -
     if lam == 0.0:
         return base_cdf(targets)
 
-    weights = _poisson_weights(lam)
-    n_max = len(weights) - 1
-    if n_max == 0:
-        return base_cdf(targets)
-
     # Fine grid: spacing h/(2q) makes every (k - 0.5)*h an exact node.
     scale = min(1.0 / m.eta_up, 1.0 / m.eta_down)
     raw = min(h, scale, sd if sd > 0.0 else math.inf) / 8.0
     q = max(1, math.ceil(h / (2.0 * raw)))
     delta = h / (2.0 * q)
 
-    jump_reach = n_max * 37.0 / min(m.eta_up, m.eta_down)
+    jump_reach = 2.0 * (37.0 + lam) / min(m.eta_up, m.eta_down)
     pad = abs(mean) + 12.0 * sd + jump_reach + 2.0 * delta
     lo_idx = math.floor((targets[0] - pad) / delta)
     hi_idx = math.ceil((targets[-1] + pad) / delta)
     if hi_idx - lo_idx > 4_000_000:
         raise ValueError("jump kernel refinement too large; coarsen the grid or dt")
     fine = np.arange(lo_idx, hi_idx + 1) * delta
+    size = 1 << (len(fine) - 1).bit_length()
 
-    # Double-exponential jump density sampled on [-reach_down, reach_up].
+    # One-jump law: the double-exponential density sampled at the nodes of
+    # [-reach_down, reach_up] as point masses, node k*delta at index k mod size.
     ku = math.ceil(37.0 / m.eta_up / delta)
     kd = math.ceil(37.0 / m.eta_down / delta)
     y = np.arange(-kd, ku + 1) * delta
@@ -156,17 +147,15 @@ def _increment_cdf_at(m: ModelSpec, dt: float, h: float, m_lo: int, m_hi: int) -
         (1.0 - m.p_up) * m.eta_down * np.exp(m.eta_down * y),
     )
     g[kd] = 0.5 * (m.p_up * m.eta_up + (1.0 - m.p_up) * m.eta_down)
-    g /= g.sum() * delta
+    jump = np.zeros(size)
+    jump[np.arange(-kd, ku + 1) % size] = g / g.sum()
 
-    cdf_n = base_cdf(fine)
-    total = weights[0] * cdf_n
-    for n in range(1, n_max + 1):
-        full = fftconvolve(cdf_n, g) * delta
-        cdf_n = np.clip(full[kd : kd + len(fine)], 0.0, 1.0)
-        total += weights[n] * cdf_n
+    spectrum = np.fft.rfft(base_cdf(fine), size)
+    spectrum *= np.exp(lam * (np.fft.rfft(jump) - 1.0))
+    total = np.fft.irfft(spectrum, size)
 
     idx = np.round(targets / delta).astype(int) - lo_idx
-    return total[idx]
+    return np.clip(total[idx], 0.0, 1.0)
 
 
 def build_chain(
@@ -199,17 +188,6 @@ def build_chain(
 
     states = np.geomspace(v_min, v_max, n_states)
     h = (math.log(v_max) - math.log(v_min)) / (n_states - 1)
-
-    if m.is_degenerate:
-        # Deterministic shift by mu*dt: all row mass in one cell.
-        kernel = np.zeros((n_states, n_states))
-        shift = m.mu * dt
-        for i in range(n_states):
-            j = int(np.clip(round(shift / h + i), 0, n_states - 1))
-            # round() places the landing point x_i + shift in its cell:
-            # cell j covers ((j-0.5)h, (j+0.5)h) around x_i.
-            kernel[i, j] = 1.0
-        return Chain(states=states, kernel=kernel, dt=dt, discount=discount)
 
     # Offsets (j - i) run over [2-n, n-1]; CDF needed at ((j-i) - 0.5)*h.
     n = n_states

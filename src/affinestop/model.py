@@ -163,13 +163,12 @@ def check_hypotheses(m: ModelSpec) -> HypothesisReport:
     return HypothesisReport(h3_ok=h3, h4_ok=h4, psi_at_one=psi1)
 
 
-def negative_root(m: ModelSpec, tol: float = 1e-12) -> float:
+def negative_root(m: ModelSpec) -> float:
     """The unique lambda < 0 with psi(lambda) = r, continuous paths only.
 
-    Solved by bisection on [-B, 0] with B doubled until psi(-B) > r;
-    the bracket is guaranteed to close because psi is convex with
-    psi(lambda) -> +inf as lambda -> -inf whenever sigma > 0.  Absolute
-    tolerance ``tol`` on the root (default 1e-12).
+    psi is then the quadratic mu*lambda + sigma^2*lambda^2/2, so the root is
+    (-mu - d)/sigma^2 with d = sqrt(mu^2 + 2*sigma^2*r), taken in the form
+    -2r/(d - mu) when mu < 0 to avoid cancellation.
 
     Raises
     ------
@@ -183,21 +182,11 @@ def negative_root(m: ModelSpec, tol: float = 1e-12) -> float:
         )
     if m.sigma <= 0.0:
         raise UnsupportedModelError("negative_root requires sigma > 0")
-    b = 1.0
-    for _ in range(200):
-        if laplace_exponent(m, -b) > m.r:
-            break
-        b *= 2.0
-    else:  # pragma: no cover - psi grows quadratically, cannot happen
-        raise RuntimeError("failed to bracket the negative root")
-    lo, hi = -b, 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if laplace_exponent(m, mid) > m.r:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    var = m.sigma * m.sigma
+    d = math.sqrt(m.mu * m.mu + 2.0 * var * m.r)
+    if m.mu >= 0.0:
+        return (-m.mu - d) / var
+    return -2.0 * m.r / (d - m.mu)
 
 
 def simulate_path(

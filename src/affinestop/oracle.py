@@ -244,41 +244,26 @@ def best_rule_exhaustive(
     return best, rules
 
 
+def _union(rules: list[StoppingRule]) -> StoppingRule:
+    """The rule that stops wherever any of ``rules`` stops."""
+    if any(rule.stop for rule in rules):
+        return STOP
+    return StoppingRule(
+        stop=False,
+        children=tuple(_union(kids) for kids in zip(*(r.children for r in rules))),
+    )
+
+
 def smallest_optimal_rule(t: Tree, p: PayoffSpec) -> StoppingRule:
     """Pointwise-minimal optimal rule: stop wherever any optimal rule stops
     along the realised path.
 
-    Derived from the full enumeration, then asserted to coincide with the
-    first-contact rule built from backward induction (an implementation bug
-    would surface here as a diagnostic, never silently).
+    The union of the argmax rules of the full enumeration, then asserted to
+    coincide with the first-contact rule built from backward induction (an
+    implementation bug would surface here as a diagnostic, never silently).
     """
-    n_rules = count_rules(t.depth, t.branching)
-    if n_rules > ENUMERATION_GUARD:
-        raise GuardError(
-            f"{n_rules} rules exceeds the enumeration guard ({ENUMERATION_GUARD})"
-        )
-    values = _rule_value_table(t, p, clipped=False)
-    best = float(values.max())
-    opt = np.flatnonzero(values >= best - TIE_TOL)
-
-    def union(depth: int, indices: set[int]) -> StoppingRule:
-        if 0 in indices:
-            return STOP
-        n_sub = count_rules(depth - 1, t.branching)
-        child_sets: list[set[int]] = [set() for _ in range(t.branching)]
-        for idx in indices:
-            rest = idx - 1
-            for j in range(t.branching - 1, -1, -1):
-                child_sets[j].add(rest % n_sub)
-                rest //= n_sub
-        return StoppingRule(
-            stop=False,
-            children=tuple(
-                union(depth - 1, child_sets[j]) for j in range(t.branching)
-            ),
-        )
-
-    minimal = union(t.depth, set(int(i) for i in opt))
+    _, rules = best_rule_exhaustive(t, p, clipped=False)
+    minimal = _union(rules)
     reference = first_contact_rule(t, p, clipped=False)
     if minimal != reference:
         raise RuntimeError(

@@ -1,10 +1,14 @@
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import affinestop
 from affinestop.cli import _KEYS, ConfigError, RunConfig, main, parse_config, run
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -363,6 +367,17 @@ class TestRunOracle:
         cfg = parse_config(ORACLE_CONFIG.replace("oracle.depth = 5",
                                                  "oracle.depth = 6"))
         assert run(cfg, out_dir=str(tmp_path / "o")) == 3
+
+
+def test_import_leaves_scipy_signal_out():
+    # A fresh interpreter, so that no other test has imported it already.
+    src = str(Path(affinestop.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, affinestop.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 class TestMainEntry:

@@ -1,7 +1,9 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import ndtr
 
 from affinestop.lattice import (
@@ -9,6 +11,7 @@ from affinestop.lattice import (
     ConvergenceError,
     SnellResult,
     StructureError,
+    _increment_cdf_at,
     build_chain,
     extract_threshold,
     value_iteration,
@@ -67,6 +70,18 @@ class TestBuildChain:
         for i in range(n - 1):
             assert ch.kernel[i, i + 1] == 1.0
         assert ch.kernel[n - 1, n - 1] == 1.0
+
+    def test_half_cell_drift_shifts_every_row_alike(self):
+        # mu*dt of 1.5 cells lands on a cell edge; a homogeneous process
+        # must still move every interior row by the same offset.
+        m = ModelSpec(mu=1.0, sigma=0.0, lambda_j=0.0, r=1.0)
+        n = 9
+        h = math.log(4.0) / (n - 1)
+        ch = build_chain(m, 0.5, 2.0, n_states=n, dt=1.5 * h)
+        interior = range(n - 2)
+        assert all(ch.kernel[i].max() == 1.0 for i in interior)
+        offsets = {int(np.argmax(ch.kernel[i])) - i for i in interior}
+        assert len(offsets) == 1 and offsets <= {1, 2}, offsets
 
     def test_rows_stochastic(self, gbm_chain):
         assert np.all(gbm_chain.kernel >= 0.0)
@@ -129,6 +144,37 @@ class TestBuildChain:
         ch = build_chain(m, 0.2, 5.0, n_states=30, dt=0.1)
         assert np.all(ch.kernel >= 0.0)
         assert np.max(np.abs(ch.kernel.sum(axis=1) - 1.0)) <= 1e-12
+
+
+def gil_pelaez_cdf(m, dt, x):
+    """P(X_dt <= x) by Gil-Pelaez inversion of exp(dt*psi(iu)); sigma > 0."""
+
+    def char(u):
+        jump = (m.p_up * m.eta_up / (m.eta_up - 1j * u)
+                + (1.0 - m.p_up) * m.eta_down / (m.eta_down + 1j * u) - 1.0)
+        psi = 1j * m.mu * u - 0.5 * m.sigma**2 * u * u + m.lambda_j * jump
+        return cmath.exp(dt * psi)
+
+    # the Gaussian factor is below exp(-40) past this frequency
+    top = math.sqrt(80.0 / (m.sigma**2 * dt))
+    val, _ = quad(lambda u: (cmath.exp(-1j * u * x) * char(u)).imag / u,
+                  0.0, top, limit=500, epsabs=1e-12)
+    return 0.5 - val / math.pi
+
+
+class TestIncrementCdf:
+    @pytest.mark.parametrize("lam_dt", [0.025, 0.5, 5.0])
+    def test_matches_characteristic_function_inversion(self, lam_dt):
+        # Independent reference: numerical inversion of the exact
+        # characteristic function.  What remains is the O(delta^2) error of
+        # sampling the jump density on the fine grid.
+        dt, h = 0.01, 0.05
+        m = ModelSpec(mu=0.05, sigma=0.2, lambda_j=lam_dt / dt, p_up=0.4,
+                      eta_up=10.0, eta_down=5.0, r=1.0)
+        k = np.arange(-60, 62)
+        got = _increment_cdf_at(m, dt, h, int(k[0]), int(k[-1]))
+        ref = np.array([gil_pelaez_cdf(m, dt, (j - 0.5) * h) for j in k])
+        assert np.max(np.abs(got - ref)) <= 1e-4
 
 
 class TestValueIteration:
