@@ -20,7 +20,6 @@ from affinestop import (
     hitting_value_mc,
     hitting_value_mc_curve,
     optimize_threshold,
-    simulate_path,
 )
 
 model = ModelSpec(mu=0.05, sigma=0.2, lambda_j=1.0, p_up=0.4,
@@ -28,11 +27,6 @@ model = ModelSpec(mu=0.05, sigma=0.2, lambda_j=1.0, p_up=0.4,
 pay = PayoffSpec(alpha=1.0, c=1.0)
 print("model:", model)
 print("screen h3 (psi(1) < r):", check_hypotheses(model).h3_ok)
-
-times, values = simulate_path(model, v0=1.0, t_max=2.0, dt=0.25, seed=4)
-print("\none sample path of V:")
-print("  t:", np.array2string(times, precision=2))
-print("  V:", np.array2string(values, precision=4))
 
 ladder = np.linspace(0.2, 0.9, 51)
 curve = hitting_value_mc_curve(model, pay, v=1.0, bs=ladder, n_paths=40_000,

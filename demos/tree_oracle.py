@@ -32,7 +32,7 @@ print(f"exhaustive max  : {value:.12f}")
 print(f"backward induct.: {backward:.12f}   gap = {abs(value - backward):.2e}")
 print(f"optimal rules   : {len(argmax)} (ties kept at 1e-12)")
 
-minimal = smallest_optimal_rule(tree, pay)
+minimal = smallest_optimal_rule(tree, pay, argmax)
 print(f"minimal optimal rule == first-contact rule: "
       f"{minimal == first_contact_rule(tree, pay)}")
 print(f"its value: {evaluate_rule(tree, minimal, pay):.12f}")

@@ -9,7 +9,7 @@ certifies that the smallest optimal stopping rule is the first passage of V
 into a lower threshold interval:
 
 * :mod:`affinestop.model` -- process parameterisations, Laplace exponent,
-  admissibility screens, exact path simulation;
+  admissibility screens;
 * :mod:`affinestop.lattice` -- finite-chain discretisation and exact Snell
   solve by policy iteration, with stopping-region extraction;
 * :mod:`affinestop.oracle` -- exhaustive enumeration of every stopping rule
@@ -40,7 +40,6 @@ from affinestop.model import (
     laplace_exponent,
     negative_root,
     payoff,
-    simulate_path,
 )
 from affinestop.oracle import (
     GuardError,
@@ -105,7 +104,6 @@ __all__ = [
     "optimal_threshold_closed",
     "optimize_threshold",
     "payoff",
-    "simulate_path",
     "smallest_optimal_rule",
     "snell_value",
     "threshold_form_check",

@@ -13,13 +13,15 @@ discounted-growth screen psi(1) < r fails (override with --force), 3 usage
 errors (bad config, bad flags, unsupported solver/model combinations,
 instance-size guards).
 
-Outputs, all UTF-8 with newline line endings, full-precision shortest
-round-trip decimals, byte-identical for identical config and seed:
+Each solver returns a ``Solution``; ``run`` writes every output from it
+except thresholds.csv, which the tree oracle writes itself.  All are UTF-8
+with newline line endings, full-precision shortest round-trip decimals,
+byte-identical for identical config and seed:
 
 * value_function.csv -- ``v,s,f,is_stop``
-* summary.csv        -- ``b_star,value_at_v0,solver,residual_or_stderr``
 * policy.csv         -- ``b_star,value_at_v,stderr,n_paths,bias_bound``
                         (threshold solvers: closed form and Monte Carlo)
+* summary.csv        -- ``b_star,value_at_v0,solver,residual_or_stderr``
 * thresholds.csv     -- ``level,threshold`` (tree oracle solver)
 * report.txt         -- one line per property check plus a final verdict;
                         INFO lines report estimates and never fail a run
@@ -244,21 +246,6 @@ def _write_csv(path: Path, header: str, rows) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def _write_value_function(path: Path, v, s, f, is_stop) -> None:
-    rows = (
-        (_fmt(vi), _fmt(si), _fmt(fi), "1" if stop else "0")
-        for vi, si, fi, stop in zip(v, s, f, is_stop)
-    )
-    _write_csv(path, "v,s,f,is_stop", rows)
-
-
-def _write_policy(path: Path, b_star: float, value: float, stderr: float = 0.0,
-                  n_paths: int = 0, bias_bound: float = 0.0) -> None:
-    _write_csv(path, "b_star,value_at_v,stderr,n_paths,bias_bound",
-               [(_fmt(b_star), _fmt(value), _fmt(stderr), str(n_paths),
-                 _fmt(bias_bound))])
-
-
 class _Report:
     """Accumulates check lines; knows whether anything failed.  Under
     ``verbose`` it also streams progress notes to stderr; notes never reach
@@ -281,20 +268,19 @@ class _Report:
     def add_check(self, report) -> None:
         self.add(report.name, "PASS" if report.passed else "FAIL", report.detail)
 
-    def write(self, path: Path) -> None:
+    def text(self) -> str:
+        """The check lines, then the final ``result=`` verdict."""
         verdict = "FAIL" if self.failed else "PASS"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            for line in self.lines:
-                fh.write(line + "\n")
-            fh.write(f"result={verdict}\n")
+        return "".join(f"{line}\n" for line in [*self.lines, f"result={verdict}"])
 
 
 def _run_value_suite(
     report: _Report,
     svf: SampledValueFunction,
-    svf_clipped: SampledValueFunction | None,
+    s_clipped: np.ndarray | None = None,
 ) -> None:
-    """Standard battery on a sampled value function."""
+    """Standard battery on a sampled value function; ``s_clipped``, the
+    clipped-payoff values on the same grid, adds put_equivalence."""
     report.add_check(check_convexity(svf))
     report.add_check(check_monotone_bounds(svf))
     if svf.v[0] <= 1e-3 * svf.payoff.root:
@@ -308,8 +294,8 @@ def _run_value_suite(
     contact = check_contact_downset(svf)
     status = "PASS" if contact.passed else "FAIL"
     report.add("contact_downset", status, contact.detail)
-    if svf_clipped is not None:
-        report.add_check(check_put_equivalence(svf, svf_clipped))
+    if s_clipped is not None:
+        report.add_check(check_put_equivalence(svf, replace(svf, s=s_clipped)))
     else:
         report.add(
             "put_equivalence", "SKIP",
@@ -317,27 +303,34 @@ def _run_value_suite(
         )
 
 
-# (b_star, value_at_v0, residual_or_stderr): the summary.csv row of a solve
-_Summary = tuple[float, float, float]
+@dataclass(frozen=True)
+class Solution:
+    """One solve, which ``run`` writes and checks: the value table, the
+    summary.csv row, the suite slack (None skips the suite: the oracle's node
+    table repeats v), clipped-payoff values for put_equivalence, and the
+    policy.csv estimate at v0 (exact when its stderr is 0; None: no file)."""
+
+    v: np.ndarray
+    s: np.ndarray
+    stop: np.ndarray
+    b_star: float
+    value_at_v0: float
+    residual_or_stderr: float
+    suite_tol: float | None
+    s_clipped: np.ndarray | None = None
+    policy: McEstimate | None = None
 
 
-def _interp_log(v0: float, states: np.ndarray, values: np.ndarray) -> float:
-    if not (states[0] <= v0 <= states[-1]):
-        raise ConfigError(f"v0={v0:g} lies outside the grid [{states[0]:g}, {states[-1]:g}]")
-    return float(np.interp(math.log(v0), np.log(states), values))
-
-
-def _run_closed(cfg: RunConfig, out: Path, report: _Report) -> _Summary:
+def _run_closed(cfg: RunConfig, out: Path, report: _Report) -> Solution:
     b_star, value_fn = optimal_threshold_closed(cfg.model, cfg.payoff)
     v = np.geomspace(cfg.grid.v_min, cfg.grid.v_max, cfg.grid.n_states)
-    s = np.atleast_1d(value_fn(v))
-    f = np.atleast_1d(payoff(cfg.payoff, v))
-    _write_value_function(out / "value_function.csv", v, s, f, v <= b_star)
     value_at_v0 = float(value_fn(cfg.v0))
-    _write_policy(out / "policy.csv", b_star, value_at_v0)
-    svf = SampledValueFunction(v=v, s=s, payoff=cfg.payoff, tolerance=1e-8)
-    _run_value_suite(report, svf, None)
-    return b_star, value_at_v0, 0.0
+    return Solution(
+        v=v, s=np.atleast_1d(value_fn(v)), stop=v <= b_star, b_star=b_star,
+        value_at_v0=value_at_v0, residual_or_stderr=0.0, suite_tol=1e-8,
+        policy=McEstimate(mean=value_at_v0, stderr=0.0, n_paths=0,
+                          truncated_frac=0.0, bias_bound=0.0),
+    )
 
 
 # Broadie-Glasserman-Kou constant -zeta(1/2)/sqrt(2*pi): exercise allowed
@@ -346,15 +339,15 @@ def _run_closed(cfg: RunConfig, out: Path, report: _Report) -> _Summary:
 _EXERCISE_SHIFT = 0.5826
 
 
-def _run_lattice(cfg: RunConfig, out: Path, report: _Report) -> _Summary:
+def _run_lattice(cfg: RunConfig, out: Path, report: _Report) -> Solution:
     tol = 1e-9
     g = cfg.grid
     ch = build_chain(cfg.model, g.v_min, g.v_max, g.n_states, g.dt)
+    if not (ch.states[0] <= cfg.v0 <= ch.states[-1]):
+        raise ConfigError(f"v0={cfg.v0:g} lies outside the grid "
+                          f"[{ch.states[0]:g}, {ch.states[-1]:g}]")
     res = value_iteration(ch, cfg.payoff, clipped=False, tol=tol)
     res_clip = value_iteration(ch, cfg.payoff, clipped=True, tol=tol)
-    f = np.atleast_1d(np.asarray(payoff(cfg.payoff, ch.states), dtype=float))
-    is_stop = [i in res.stop_set for i in range(len(ch.states))]
-    _write_value_function(out / "value_function.csv", ch.states, res.values, f, is_stop)
 
     try:
         b_star = extract_threshold(res, ch)
@@ -372,11 +365,14 @@ def _run_lattice(cfg: RunConfig, out: Path, report: _Report) -> _Summary:
                f"{estimate}; diffusion-only "
                f"b_hat*exp(-{_EXERCISE_SHIFT}*sigma*sqrt(dt))")
 
-    suite_tol = 10.0 * tol
-    svf = SampledValueFunction(ch.states, res.values, cfg.payoff, suite_tol)
-    svf_clip = SampledValueFunction(ch.states, res_clip.values, cfg.payoff, suite_tol)
-    _run_value_suite(report, svf, svf_clip)
-    return b_star, _interp_log(cfg.v0, ch.states, res.values), res.residual
+    return Solution(
+        v=ch.states, s=res.values,
+        stop=np.array([i in res.stop_set for i in range(len(ch.states))]),
+        b_star=b_star,
+        value_at_v0=float(np.interp(math.log(cfg.v0), np.log(ch.states), res.values)),
+        residual_or_stderr=res.residual, suite_tol=10.0 * tol,
+        s_clipped=res_clip.values,
+    )
 
 
 def _note_sweep(report: _Report, levels: int, seconds: float,
@@ -388,7 +384,7 @@ def _note_sweep(report: _Report, levels: int, seconds: float,
     )
 
 
-def _run_mc(cfg: RunConfig, out: Path, report: _Report) -> _Summary:
+def _run_mc(cfg: RunConfig, out: Path, report: _Report) -> Solution:
     root = cfg.payoff.root
     b_lo = max(cfg.grid.v_min, 0.02 * root)
     b_hi = 0.98 * min(root, cfg.v0)
@@ -423,23 +419,18 @@ def _run_mc(cfg: RunConfig, out: Path, report: _Report) -> _Summary:
                 ests[-1])
     est = ests[where[-1]]
     table = [ests[i] for i in where[:-1]]
-    _write_policy(out / "policy.csv", b_star, est.mean, est.stderr,
-                  est.n_paths, est.bias_bound)
-    s_vals = np.array([e.mean for e in table])
     max_err = max(e.stderr for e in table)
-    f_grid = np.atleast_1d(payoff(cfg.payoff, v_grid))
-    _write_value_function(out / "value_function.csv", v_grid, s_vals, f_grid,
-                          v_grid <= b_star)
 
     # Stochastic table: run the suite with noise-aware slack (4 standard
     # errors; chord gaps combine two values, hence the factor 2).
-    base_tol = max(4.0 * max_err, 1e-8)
-    svf = SampledValueFunction(v_grid, s_vals, cfg.payoff, 2.0 * base_tol)
-    _run_value_suite(report, svf, None)
-    return b_star, est.mean, est.stderr
+    return Solution(
+        v=v_grid, s=np.array([e.mean for e in table]), stop=v_grid <= b_star,
+        b_star=b_star, value_at_v0=est.mean, residual_or_stderr=est.stderr,
+        suite_tol=2.0 * max(4.0 * max_err, 1e-8), policy=est,
+    )
 
 
-def _run_oracle(cfg: RunConfig, out: Path, report: _Report) -> _Summary:
+def _run_oracle(cfg: RunConfig, out: Path, report: _Report) -> Solution:
     depth = cfg.oracle.depth
     n_rules = count_rules(depth, 2)
     if n_rules > ENUMERATION_GUARD:
@@ -456,7 +447,7 @@ def _run_oracle(cfg: RunConfig, out: Path, report: _Report) -> _Summary:
     tree = Tree(depth=depth, v0=cfg.v0, multipliers=(up, down),
                 probs=(0.5, 0.5), dt=dt, r=m.r)
 
-    best, _rules = best_rule_exhaustive(tree, cfg.payoff)
+    best, rules = best_rule_exhaustive(tree, cfg.payoff)
     backward = snell_value(tree, cfg.payoff)
     gap = abs(best - backward)
     report.add(
@@ -465,7 +456,7 @@ def _run_oracle(cfg: RunConfig, out: Path, report: _Report) -> _Summary:
         f"|sup over all {n_rules} rules - backward induction| = {gap:.3e}",
     )
     try:
-        smallest_optimal_rule(tree, cfg.payoff)
+        smallest_optimal_rule(tree, cfg.payoff, rules)
         report.add("smallest_rule_first_contact", "PASS",
                    "pointwise-minimal optimal rule stops at first payoff contact")
     except RuntimeError as exc:
@@ -488,29 +479,27 @@ def _run_oracle(cfg: RunConfig, out: Path, report: _Report) -> _Summary:
     )
 
     # Node table, level by level (v repeats across levels).
-    v, s = zip(*(vs for nodes in recombined_values(tree, cfg.payoff)
-                 for vs in sorted(nodes.values())))
-    f = [payoff(cfg.payoff, vi) for vi in v]
-    _write_value_function(out / "value_function.csv", v, s, f,
-                          [abs(si - fi) <= 1e-12 for si, fi in zip(s, f)])
+    v, s = (np.array(col) for col in zip(
+        *(vs for nodes in recombined_values(tree, cfg.payoff)
+          for vs in sorted(nodes.values()))))
 
     decision_thresholds = [
         th for th in tf.level_thresholds[: max(tree.depth, 1)] if th is not None
     ]
-    b_star = decision_thresholds[-1] if decision_thresholds else math.nan
-    return b_star, backward, 0.0
+    return Solution(
+        v=v, s=s, stop=np.abs(s - payoff(cfg.payoff, v)) <= 1e-12,
+        b_star=decision_thresholds[-1] if decision_thresholds else math.nan,
+        value_at_v0=backward, residual_or_stderr=0.0, suite_tol=None,
+    )
 
 
 def run(cfg: RunConfig, force: bool = False, out_dir: str | None = None,
         verbose: bool = False) -> int:
     """Execute the configured pipeline; returns the process exit code."""
     rep = check_hypotheses(cfg.model)
-    if verbose:
-        print(
-            f"hypothesis screen: psi(1)={rep.psi_at_one:g} r={cfg.model.r:g} "
-            f"h3_ok={rep.h3_ok} h4_ok={rep.h4_ok}",
-            file=sys.stderr,
-        )
+    report = _Report(verbose)
+    report.note(f"hypothesis screen: psi(1)={rep.psi_at_one:g} r={cfg.model.r:g} "
+                f"h3_ok={rep.h3_ok} h4_ok={rep.h4_ok}")
     if not rep.h3_ok and not force:
         print(
             f"refused: psi(1) = {rep.psi_at_one!r} is not < r = {cfg.model.r!r} "
@@ -522,7 +511,6 @@ def run(cfg: RunConfig, force: bool = False, out_dir: str | None = None,
 
     out = Path(out_dir if out_dir is not None else cfg.output)
     out.mkdir(parents=True, exist_ok=True)
-    report = _Report(verbose)
     report.add(
         "hypothesis_screen",
         "PASS" if rep.h3_ok else "SKIP",
@@ -537,17 +525,30 @@ def run(cfg: RunConfig, force: bool = False, out_dir: str | None = None,
             "mc": _run_mc,
             "oracle": _run_oracle,
         }[cfg.solver]
-        b_star, value_at_v0, residual_or_stderr = solve(cfg, out, report)
+        sol = solve(cfg, out, report)
+        if sol.suite_tol is not None:
+            svf = SampledValueFunction(sol.v, sol.s, cfg.payoff, sol.suite_tol)
+            _run_value_suite(report, svf, sol.s_clipped)
     except (UnsupportedModelError, GuardError, ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
+    f = payoff(cfg.payoff, sol.v)
+    rows = ((_fmt(vi), _fmt(si), _fmt(fi), "1" if stop else "0")
+            for vi, si, fi, stop in zip(sol.v, sol.s, f, sol.stop))
+    _write_csv(out / "value_function.csv", "v,s,f,is_stop", rows)
+    if sol.policy is not None:
+        p = sol.policy
+        _write_csv(out / "policy.csv", "b_star,value_at_v,stderr,n_paths,bias_bound",
+                   [(_fmt(sol.b_star), _fmt(p.mean), _fmt(p.stderr), str(p.n_paths),
+                     _fmt(p.bias_bound))])
     _write_csv(
         out / "summary.csv",
         "b_star,value_at_v0,solver,residual_or_stderr",
-        [(_fmt(b_star), _fmt(value_at_v0), cfg.solver, _fmt(residual_or_stderr))],
+        [(_fmt(sol.b_star), _fmt(sol.value_at_v0), cfg.solver,
+          _fmt(sol.residual_or_stderr))],
     )
-    report.write(out / "report.txt")
+    (out / "report.txt").write_text(report.text(), encoding="utf-8", newline="")
     if report.failed:
         print(f"one or more checks failed; see {out / 'report.txt'}",
               file=sys.stderr)
@@ -572,10 +573,8 @@ def _cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     report = _Report()
-    _run_value_suite(report, svf, None)
-    for line in report.lines:
-        print(line)
-    print(f"result={'FAIL' if report.failed else 'PASS'}")
+    _run_value_suite(report, svf)
+    print(report.text(), end="")
     return 1 if report.failed else 0
 
 

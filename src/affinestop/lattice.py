@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from affinestop.model import ModelSpec, PayoffSpec, payoff
 
@@ -115,6 +114,10 @@ def _increment_cdf_at(m: ModelSpec, dt: float, h: float, m_lo: int, m_hi: int) -
 
     def base_cdf(z: np.ndarray) -> np.ndarray:
         if sd > 0.0:
+            # Imported here: scipy.special costs most of a fresh import of
+            # the package, and only chains with sigma > 0 need it.
+            from scipy.special import ndtr
+
             return ndtr((z - mean) / sd)
         return (z >= mean).astype(float)
 

@@ -8,9 +8,8 @@ two parametric families:
   sum of jumps, each jump upward Exp(eta_up) with probability p_up and
   downward Exp(eta_down) otherwise.
 
-Everything here is a pure function of its inputs; simulation is pure given
-the seed, so values can be shared freely across threads.  Parallel callers
-should derive independent substreams by seeding with (base_seed, index).
+Everything here is a pure function of its inputs, so values can be shared
+freely across threads.
 """
 
 from __future__ import annotations
@@ -79,11 +78,6 @@ class ModelSpec:
                 raise ValueError(
                     f"eta_down must be > 0 when jumps are active, got {self.eta_down}"
                 )
-
-    @property
-    def is_degenerate(self) -> bool:
-        """True when X has no random component (sigma == 0, lambda_j == 0)."""
-        return self.sigma == 0.0 and self.lambda_j == 0.0
 
 
 @dataclass(frozen=True)
@@ -187,60 +181,6 @@ def negative_root(m: ModelSpec) -> float:
     if m.mu >= 0.0:
         return (-m.mu - d) / var
     return -2.0 * m.r / (d - m.mu)
-
-
-def simulate_path(
-    m: ModelSpec,
-    v0: float,
-    t_max: float,
-    dt: float,
-    seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate V = v0*exp(X) on a time grid by exact increments.
-
-    Each step adds a Gaussian increment (mean mu*h, variance sigma^2*h)
-    plus a compound-Poisson sum of double-exponential jumps with
-    Poisson(lambda_j*h) count, h being the step length.  The grid uses
-    steps of ``dt`` with a shorter final step when t_max is not an exact
-    multiple.  Deterministic given the seed.
-
-    Returns
-    -------
-    (times, values) : pair of float arrays, values[0] == v0.
-    """
-    if not (v0 > 0.0):
-        raise ValueError(f"v0 must be > 0, got {v0}")
-    if not (0.0 < dt <= t_max):
-        raise ValueError(f"need 0 < dt <= t_max, got dt={dt}, t_max={t_max}")
-    n_full = int(math.floor(t_max / dt + 1e-9))
-    rem = t_max - n_full * dt
-    steps = [dt] * n_full
-    if rem > 1e-12 * dt:
-        steps.append(rem)
-    rng = np.random.default_rng(seed)
-    times = np.empty(len(steps) + 1)
-    xs = np.empty(len(steps) + 1)
-    times[0] = 0.0
-    xs[0] = 0.0
-    x = 0.0
-    t = 0.0
-    for k, h in enumerate(steps):
-        incr = m.mu * h
-        if m.sigma > 0.0:
-            incr += m.sigma * math.sqrt(h) * rng.standard_normal()
-        if m.lambda_j > 0.0:
-            n_jumps = rng.poisson(m.lambda_j * h)
-            if n_jumps > 0:
-                up = rng.random(n_jumps) < m.p_up
-                mags = rng.standard_exponential(n_jumps)
-                incr += float(
-                    np.sum(np.where(up, mags / m.eta_up, -mags / m.eta_down))
-                )
-        x += incr
-        t = t_max if k == len(steps) - 1 else t + h
-        times[k + 1] = t
-        xs[k + 1] = x
-    return times, v0 * np.exp(xs)
 
 
 def payoff(p: PayoffSpec, v, clipped: bool = False):

@@ -254,15 +254,20 @@ def _union(rules: list[StoppingRule]) -> StoppingRule:
     )
 
 
-def smallest_optimal_rule(t: Tree, p: PayoffSpec) -> StoppingRule:
+def smallest_optimal_rule(
+    t: Tree, p: PayoffSpec, rules: list[StoppingRule] | None = None
+) -> StoppingRule:
     """Pointwise-minimal optimal rule: stop wherever any optimal rule stops
     along the realised path.
 
     The union of the argmax rules of the full enumeration, then asserted to
     coincide with the first-contact rule built from backward induction (an
     implementation bug would surface here as a diagnostic, never silently).
+    ``rules`` are those argmax rules when the caller already has them from
+    ``best_rule_exhaustive(t, p)``; otherwise the tree is enumerated here.
     """
-    _, rules = best_rule_exhaustive(t, p, clipped=False)
+    if rules is None:
+        _, rules = best_rule_exhaustive(t, p, clipped=False)
     minimal = _union(rules)
     reference = first_contact_rule(t, p, clipped=False)
     if minimal != reference:

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import re
@@ -9,9 +10,11 @@ import numpy as np
 import pytest
 
 import affinestop
+import affinestop.cli
 from affinestop.cli import _KEYS, ConfigError, RunConfig, main, parse_config, run
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 GBM_CONFIG = """\
 # flagship diffusion, a hair inside the psi(1) < r screen
@@ -368,16 +371,73 @@ class TestRunOracle:
                                                  "oracle.depth = 6"))
         assert run(cfg, out_dir=str(tmp_path / "o")) == 3
 
+    def test_enumerates_rules_once(self, tmp_path, monkeypatch):
+        # the smallest-rule check reuses the argmax rules of the one
+        # enumeration instead of valuing all 458,330 rules again
+        import affinestop.oracle as oracle
+
+        calls = []
+        table = oracle._rule_value_table
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return table(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_rule_value_table", counted)
+        assert run(parse_config(ORACLE_CONFIG), out_dir=str(tmp_path)) == 0
+        assert len(calls) == 1
+
+
+_SUITE = ["convexity", "monotone_bounds", "limit_at_zero", "contact_downset",
+          "put_equivalence"]
+_TABLES = {"value_function.csv", "summary.csv", "report.txt"}
+
+
+@pytest.mark.parametrize("config, code, files, checks", [
+    (GBM_CONFIG, 0, _TABLES | {"policy.csv"}, ["hypothesis_screen", *_SUITE]),
+    (LATTICE_CONFIG, 0, _TABLES,
+     ["hypothesis_screen", "threshold_extraction", "continuous_exercise_estimate",
+      *_SUITE]),
+    (MC_CONFIG, 0, _TABLES | {"policy.csv"}, ["hypothesis_screen", *_SUITE]),
+    (ORACLE_CONFIG, 0, _TABLES | {"thresholds.csv"},
+     ["hypothesis_screen", "exhaustive_equals_backward",
+      "smallest_rule_first_contact", "threshold_form_downset"]),
+    (LATTICE_CONFIG + "v0 = 100.0\n", 3, set(), []),
+], ids=["closed", "lattice", "mc", "oracle", "lattice-v0-outside-grid"])
+def test_solver_output_contract(tmp_path, config, code, files, checks):
+    # which files each solver leaves and the order of its report lines; a
+    # usage error (exit 3) leaves no table behind
+    out = tmp_path / "o"
+    assert run(parse_config(config), out_dir=str(out)) == code
+    assert {path.name for path in out.iterdir()} == files
+    if checks:
+        lines = (out / "report.txt").read_text().splitlines()
+        assert [line.split()[0] for line in lines] == [
+            *(f"check={name}" for name in checks), "result=PASS"]
+
+
+def test_bench_span_names_are_cli_attributes():
+    # bench/spans.py wraps getattr(affinestop.cli, name) for every key of
+    # SPAN_NAMES, so a name cli no longer binds crashes a traced bench run
+    tree = ast.parse((ROOT / "bench" / "spans.py").read_text(encoding="utf-8"))
+    (names,) = [ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "SPAN_NAMES" for t in node.targets)]
+    assert names
+    assert [n for n in names if not hasattr(affinestop.cli, n)] == []
+
 
 def test_import_leaves_scipy_signal_out():
-    # A fresh interpreter, so that no other test has imported it already.
+    # A fresh interpreter, so that no other test has imported them already.
+    # scipy.signal and scipy.special are most of a fresh import's cost.
     src = str(Path(affinestop.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, affinestop.cli; print('scipy.signal' in sys.modules)"
+    code = ("import sys, affinestop.cli; print([m for m in "
+            "('scipy.signal', 'scipy.special') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
 
 
 class TestMainEntry:

@@ -13,7 +13,6 @@ from affinestop.model import (
     laplace_exponent,
     negative_root,
     payoff,
-    simulate_path,
 )
 
 
@@ -56,7 +55,6 @@ class TestModelSpec:
 
     def test_degenerate_allowed_but_flagged(self):
         m = ModelSpec(mu=1.0, sigma=0.0, lambda_j=0.0, r=1.0)
-        assert m.is_degenerate
         assert not check_hypotheses(m).h4_ok
 
     def test_payoff_validation(self):
@@ -183,59 +181,6 @@ class TestNegativeRoot:
             negative_root(m)
         with pytest.raises(UnsupportedModelError):
             negative_root(ModelSpec(mu=-1.0, sigma=0.0, lambda_j=0.0, r=1.0))
-
-
-class TestSimulatePath:
-    def test_deterministic_drift(self):
-        m = ModelSpec(mu=1.0, sigma=0.0, lambda_j=0.0, r=1.0)
-        times, values = simulate_path(m, 1.0, t_max=1.0, dt=0.5, seed=0)
-        assert np.allclose(times, [0.0, 0.5, 1.0])
-        assert np.allclose(values, [1.0, math.exp(0.5), math.exp(1.0)], rtol=1e-14)
-
-    def test_initial_condition_and_two_samples(self):
-        m = ModelSpec(mu=0.1, sigma=0.4, lambda_j=0.5, r=1.0)
-        times, values = simulate_path(m, 2.0, t_max=3.0, dt=3.0, seed=42)
-        assert len(times) == 2 and len(values) == 2
-        assert values[0] == 2.0
-        assert times[-1] == 3.0
-
-    def test_argument_validation(self):
-        m = ModelSpec(sigma=1.0, r=1.0)
-        with pytest.raises(ValueError):
-            simulate_path(m, 0.0, 1.0, 0.1, 0)
-        with pytest.raises(ValueError):
-            simulate_path(m, 1.0, 1.0, 0.0, 0)
-        with pytest.raises(ValueError):
-            simulate_path(m, 1.0, 1.0, 2.0, 0)
-
-    def test_same_seed_bit_identical(self):
-        m = ModelSpec(mu=0.1, sigma=0.3, lambda_j=2.0, p_up=0.3,
-                      eta_up=8.0, eta_down=4.0, r=1.0)
-        t1, v1 = simulate_path(m, 1.0, 2.0, 0.01, seed=7)
-        t2, v2 = simulate_path(m, 1.0, 2.0, 0.01, seed=7)
-        assert np.array_equal(t1, t2)
-        assert np.array_equal(v1, v2)
-
-    def test_law_of_large_numbers(self):
-        # mean of log V_1 over 1e5 independent seeds within 3/sqrt(1e5) of 0
-        m = ModelSpec(mu=0.0, sigma=1.0, r=1.0)
-        n = 100_000
-        acc = 0.0
-        for i in range(n):
-            _, values = simulate_path(m, 1.0, 1.0, 1.0, seed=(917, i))
-            acc += math.log(values[-1])
-        assert abs(acc / n) <= 3.0 / math.sqrt(n)
-
-    def test_exponential_moment_matches_psi(self):
-        # sigma-only model: empirical E[exp(X_1)] within 4 stderr of exp(psi(1))
-        m = ModelSpec(mu=-0.2, sigma=0.5, r=1.0)
-        n = 100_000
-        w = np.empty(n)
-        for i in range(n):
-            _, values = simulate_path(m, 1.0, 1.0, 1.0, seed=(5150, i))
-            w[i] = values[-1]
-        se = float(np.std(w, ddof=1)) / math.sqrt(n)
-        assert abs(float(np.mean(w)) - math.exp(laplace_exponent(m, 1.0))) <= 4.0 * se
 
 
 class TestPayoff:
